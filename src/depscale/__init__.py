@@ -54,8 +54,6 @@ from .spectral import (
     SingularSpectrum,
     dependence_scale,
     gram_det_oracle,
-    kolmogorov_index,
-    m_dependence_order,
     maximal_correlation,
     normalized_matrix,
     singular_spectrum,
@@ -64,7 +62,6 @@ from .structure import (
     CompletenessResult,
     check_completeness,
     make_finite_rank_joint,
-    verify_class_membership,
 )
 
 __version__ = "0.1.0"
@@ -112,12 +109,10 @@ __all__ = [
     "gaussian_quantile_joint",
     "gaussian_r",
     "gram_det_oracle",
-    "kolmogorov_index",
     "lambda_max",
     "load_covariance_csv",
     "load_joint_csv",
     "load_samples_csv",
-    "m_dependence_order",
     "make_finite_rank_joint",
     "make_joint",
     "marginals",
@@ -125,5 +120,4 @@ __all__ = [
     "noise_curve",
     "normalized_matrix",
     "singular_spectrum",
-    "verify_class_membership",
 ]

@@ -27,9 +27,18 @@ from .estimate import (
 )
 from .gaussian import gaussian_d, gaussian_r, lambda_max, noise_curve
 from .io import load_covariance_csv, load_joint_csv, load_samples_csv, select_column
-from .joints import DiscreteJoint
-from .spectral import DEFAULT_ORDER_TOL, dependence_scale, singular_spectrum, gram_det_oracle
-from .structure import check_completeness
+from .spectral import (
+    DEFAULT_ORDER_TOL,
+    DependenceProfile,
+    SingularSpectrum,
+    dependence_scale,
+    gram_det_oracle,
+    singular_spectrum,
+)
+# Not called here: the report reads completeness off the spectrum.  Kept as a
+# module attribute because perfbench/traced.py wraps every library name it
+# expects the CLI to look up.
+from .structure import check_completeness  # noqa: F401
 
 SCHEMA = "v1"
 
@@ -122,12 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_report(j: DiscreteJoint, max_order: int | None, tol: float) -> dict[str, Any]:
-    if max_order is None:
-        max_order = max(min(j.n_x, j.n_y) - 1, 0)
-    spectrum = singular_spectrum(j)
-    profile = dependence_scale(j, max_order, tol=tol)
-    complete = check_completeness(j, tol=tol).complete
+def _profile_report(
+    spectrum: SingularSpectrum, profile: DependenceProfile, tol: float
+) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
         "sigma0": spectrum.sigma0,
@@ -135,13 +141,13 @@ def _profile_report(j: DiscreteJoint, max_order: int | None, tol: float) -> dict
         "R": profile.r,
         "D": [float(v) for v in profile.d],
         "order": profile.order,
-        "complete": complete,
+        "complete": spectrum.complete(tol),
     }
 
 
 def _cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
-    j = load_joint_csv(args.joint)
-    return _profile_report(j, args.max_order, args.tol)
+    spectrum = singular_spectrum(load_joint_csv(args.joint))
+    return _profile_report(spectrum, spectrum.profile(args.max_order, args.tol), args.tol)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
@@ -150,11 +156,8 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     ys = [select_column(names, columns, key, "y") for key in args.y]
     spec = BinningSpec(strategy=args.strategy, bins_x=args.bins, bins_y=args.bins)
     joint = empirical_joint_grouped(x, ys, spec)
-    max_order = args.max_order
-    if max_order is None:
-        max_order = max(min(joint.n_x, joint.n_y) - 1, 0)
-    est = profile_of_joint(joint, x.shape[0], max_order, tol=args.tol)
-    report = _profile_report(joint, max_order, args.tol)
+    est = profile_of_joint(joint, x.shape[0], args.max_order, tol=args.tol)
+    report = _profile_report(est.spectrum, est.profile, args.tol)
     report.update(
         n=est.n, bins=[est.bins[0], est.bins[1]], bias_warning=est.bias_warning
     )

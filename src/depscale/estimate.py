@@ -41,7 +41,12 @@ from scipy.special import ndtr, ndtri
 
 from .errors import InvalidDistributionError
 from .joints import DiscreteJoint, SampleTable
-from .spectral import DEFAULT_ORDER_TOL, DependenceProfile, dependence_scale
+from .spectral import (
+    DEFAULT_ORDER_TOL,
+    DependenceProfile,
+    SingularSpectrum,
+    singular_spectrum,
+)
 
 Strategy = Literal["quantile", "uniform-width", "categorical"]
 
@@ -77,6 +82,7 @@ class BinningSpec:
 class ProfileEstimate:
     """A plug-in dependence profile with its provenance.
 
+    ``spectrum`` is the plug-in joint's spectrum the profile was read from.
     ``bins`` holds the achieved alphabet sizes (|X|, |Y|) after empty-bin
     merging and categorical fallbacks; ``bias_warning`` is set when
     n < 10 * |X| * |Y|, the regime where the plug-in R is noticeably
@@ -84,6 +90,7 @@ class ProfileEstimate:
     """
 
     profile: DependenceProfile
+    spectrum: SingularSpectrum
     joint: DiscreteJoint
     n: int
     bins: tuple[int, int]
@@ -191,12 +198,16 @@ def estimate_profile(
 
 
 def profile_of_joint(
-    joint: DiscreteJoint, n: int, max_order: int, *, tol: float = DEFAULT_ORDER_TOL
+    joint: DiscreteJoint, n: int, max_order: int | None, *, tol: float = DEFAULT_ORDER_TOL
 ) -> ProfileEstimate:
-    """Wrap a plug-in joint's profile with its estimation metadata."""
-    profile = dependence_scale(joint, max_order, tol=tol)
+    """Wrap a plug-in joint's profile with its estimation metadata.
+
+    ``max_order`` None means min(|X|, |Y|) - 1 (see :meth:`SingularSpectrum.profile`).
+    """
+    spectrum = singular_spectrum(joint)
     return ProfileEstimate(
-        profile=profile,
+        profile=spectrum.profile(max_order, tol),
+        spectrum=spectrum,
         joint=joint,
         n=n,
         bins=(joint.n_x, joint.n_y),

@@ -28,33 +28,24 @@ from .joints import GaussianJoint
 _EIG_FLOOR = 1e-12
 
 
-def _inv_sqrt(block: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric inverse square root, rejecting near-singular blocks."""
-    sym = (block + block.T) / 2.0
-    w, v = np.linalg.eigh(sym)
+def _spd_eigh(block: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetrized block, rejecting near-singular blocks."""
+    w, v = np.linalg.eigh((block + block.T) / 2.0)
     if np.min(w) <= _EIG_FLOOR:
         raise NotPositiveDefiniteError(
             f"{name} has eigenvalue {float(np.min(w))!r} at or below the {_EIG_FLOOR} floor"
         )
-    return (v / np.sqrt(w)) @ v.T
-
-
-def _inv(block: np.ndarray, name: str) -> np.ndarray:
-    sym = (block + block.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    if np.min(w) <= _EIG_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"{name} has eigenvalue {float(np.min(w))!r} at or below the {_EIG_FLOOR} floor"
-        )
-    return (v / w) @ v.T
+    return w, v
 
 
 def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
     if g.is_scalar:
         return gaussian_r(g) ** 2
-    isq = _inv_sqrt(g.v11, "v11")
-    sigma = isq @ g.v12 @ _inv(g.v22, "v22") @ g.v12.T @ isq
+    wx, vx = _spd_eigh(g.v11, "v11")
+    wy, vy = _spd_eigh(g.v22, "v22")
+    isq = (vx / np.sqrt(wx)) @ vx.T
+    sigma = isq @ g.v12 @ ((vy / wy) @ vy.T) @ g.v12.T @ isq
     w = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)
     return float(min(max(float(w[-1]), 0.0), 1.0))
 
@@ -69,8 +60,6 @@ def gaussian_r(g: GaussianJoint) -> float:
 
 def gaussian_d(g: GaussianJoint) -> float:
     """Dependence index of a Gaussian pair: lambda_max = R^2."""
-    if g.is_scalar:
-        return gaussian_r(g) ** 2
     return lambda_max(g)
 
 
@@ -107,20 +96,23 @@ def noise_curve(g: GaussianJoint, lambdas: np.ndarray, var_z: float = 1.0) -> No
     """Evaluate R(X, Y + lambda Z) for scalar Gaussian joints.
 
     Adding independent noise to Y leaves v11 and v12 alone and inflates v22
-    by lambda^2 * var_z, so each point is just :func:`gaussian_r` of the
-    modified joint.
+    by lambda^2 * var_z, so the curve is the scalar closed form of
+    :func:`gaussian_r`, min(|v12| / sqrt(v11 (v22 + lambda^2 var_z)), 1),
+    evaluated on every lambda at once.  Lambdas and ``var_z`` must be finite;
+    a lambda so large that lambda^2 overflows gives R = 0.
     """
     if not g.is_scalar:
         raise NotScalarError(
             f"noise_curve needs 1x1 blocks, got {g.dim_x}x{g.dim_y}"
         )
-    if var_z <= 0:
-        raise NotPositiveDefiniteError(f"var_z must be positive, got {float(var_z)!r}")
-    lam = np.asarray(lambdas, dtype=float)
-    r = np.empty(lam.shape)
-    for i, el in enumerate(lam):
-        bumped = GaussianJoint(
-            v11=g.v11, v12=g.v12, v22=g.v22 + (el * el) * var_z
+    if not 0 < var_z < np.inf:
+        raise NotPositiveDefiniteError(
+            f"var_z must be positive and finite, got {float(var_z)!r}"
         )
-        r[i] = gaussian_r(bumped)
+    lam = np.asarray(lambdas, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise NotPositiveDefiniteError("noise scales (lambdas) must be finite")
+    v11, v12, v22 = float(g.v11[0, 0]), float(g.v12[0, 0]), float(g.v22[0, 0])
+    with np.errstate(over="ignore"):
+        r = np.minimum(abs(v12) / np.sqrt(v11 * (v22 + (lam * lam) * var_z)), 1.0)
     return NoiseCurve(lambdas=lam, r_values=r)

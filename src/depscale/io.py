@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
-from .joints import DiscreteJoint, GaussianJoint, SampleTable, make_joint
+from .joints import DiscreteJoint, GaussianJoint, make_joint
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
@@ -130,7 +130,3 @@ def select_column(
         )
     return columns[idx]
 
-
-def sample_table(x: np.ndarray, y: np.ndarray) -> SampleTable:
-    """Build a validated two-column sample table."""
-    return SampleTable(x=x, y=y)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import DiscreteJoint, conditional_matrix
+from .joints import DiscreteJoint, _frozen_array, conditional_matrix
 
 #: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
 SPECTRUM_SLACK = 1e-10
@@ -57,11 +57,16 @@ class SingularSpectrum:
     ``sigma0`` is the leading singular value of the full normalized matrix
     (structurally 1; deviation means the table or its marginals are broken).
     ``sigma`` holds the min(|X|, |Y|) - 1 remaining values in descending
-    order, all in [0, 1].
+    order, all in [0, 1].  ``shape`` is the joint's (|X|, |Y|).
+
+    Every dependence quantity of the joint is read from this one object, and
+    every tolerance question is answered by one rule: a singular value
+    counts as zero when it is at most ``tol``.
     """
 
     sigma0: float
     sigma: np.ndarray
+    shape: tuple[int, int]
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma, dtype=float)
@@ -74,25 +79,75 @@ class SingularSpectrum:
             raise SvdFailureError("nontrivial singular values escape [0, 1]")
         if s.size > 1 and np.any(np.diff(s) > SPECTRUM_SLACK):
             raise SvdFailureError("singular values are not in descending order")
+        if s.shape != (max(min(self.shape) - 1, 0),):
+            raise SvdFailureError(
+                f"{s.size} nontrivial singular values do not fit a "
+                f"{self.shape[0]}x{self.shape[1]} joint"
+            )
         s = np.clip(s, 0.0, 1.0)
         s.flags.writeable = False
         object.__setattr__(self, "sigma", s)
 
+    @property
+    def r(self) -> float:
+        """Maximal correlation sup corr(phi(X), psi(Y)) = sigma_1; its square
+        is the dependence index."""
+        return float(self.sigma[0]) if self.sigma.size else 0.0
 
-def _deflated_normalized(j: DiscreteJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def order(self, tol: float = DEFAULT_ORDER_TOL) -> int:
+        """Dependence order: the numerical rank of ``sigma``, i.e. the first
+        m with sigma_{m+1} <= tol (values beyond the spectrum count as zero).
+
+        The conditional images span this many directions beyond constants,
+        and d[m] vanishes from this m on.  At most min(|X|, |Y|) - 1.
+        """
+        below = np.flatnonzero(self.sigma <= tol)
+        return int(below[0]) if below.size else int(self.sigma.size)
+
+    def complete(self, tol: float = DEFAULT_ORDER_TOL) -> bool:
+        """Completeness of the X -> Y conditional family: |X| <= |Y| and no
+        nontrivial singular value is zero, i.e. the order is full."""
+        n_x, n_y = self.shape
+        return n_x <= n_y and self.order(tol) == self.sigma.size
+
+    def profile(
+        self, max_order: int | None = None, tol: float = DEFAULT_ORDER_TOL
+    ) -> DependenceProfile:
+        """The scale d[0..max_order], d[m] = prod_{i<=m} sigma_{i+1}**2.
+
+        ``max_order`` defaults to min(|X|, |Y|) - 1.  Singular values beyond
+        the spectrum count as zero, so ``d[m] == 0`` whenever
+        ``m >= min(|X|, |Y|) - 1``.
+        """
+        if max_order is None:
+            max_order = self.sigma.size
+        if max_order < 0:
+            raise ValueError(f"max_order must be >= 0, got {max_order}")
+        padded = np.zeros(max_order + 1)
+        k = min(self.sigma.size, max_order + 1)
+        padded[:k] = self.sigma[:k]
+        order = self.order(tol)
+        return DependenceProfile(
+            r=self.r,
+            d=np.cumprod(padded**2),
+            order=order if order <= max_order else None,
+        )
+
+
+def _deflated_normalized(j: DiscreteJoint) -> tuple[np.ndarray, np.ndarray]:
     """Normalized matrix with the constant-direction pair projected out.
 
-    Returns ``(Qc, u0, v0)`` where ``u0 = sqrt(p_x)``, ``v0 = sqrt(p_y)`` and
-    ``Qc = (I - u0 u0') Q (I - v0 v0')``.  The double-sided projection removes
-    the known unit singular pair exactly rather than relying on the SVD to
-    rank it first.
+    Returns ``(Q, Qc)`` where ``Q`` is :func:`normalized_matrix` and
+    ``Qc = (I - u0 u0') Q (I - v0 v0')`` with ``u0 = sqrt(p_x)``,
+    ``v0 = sqrt(p_y)``.  The double-sided projection removes the known unit
+    singular pair exactly rather than relying on the SVD to rank it first.
     """
     Q = normalized_matrix(j)
     u0 = np.sqrt(j.p_x)
     v0 = np.sqrt(j.p_y)
     Qc = Q - np.outer(u0, u0 @ Q)
     Qc = Qc - np.outer(Qc @ v0, v0)
-    return Qc, u0, v0
+    return Q, Qc
 
 
 def _svd_values(a: np.ndarray) -> np.ndarray:
@@ -104,25 +159,16 @@ def _svd_values(a: np.ndarray) -> np.ndarray:
 
 def singular_spectrum(j: DiscreteJoint) -> SingularSpectrum:
     """Full spectrum of the normalized table, deflated of the constant pair."""
-    Qc, _, _ = _deflated_normalized(j)
-    sigma0 = float(_svd_values(normalized_matrix(j))[0])
+    Q, Qc = _deflated_normalized(j)
+    sigma0 = float(_svd_values(Q)[0])
     k = min(j.n_x, j.n_y) - 1
     sigma = _svd_values(Qc)[:k] if k > 0 else np.empty(0)
-    return SingularSpectrum(sigma0=sigma0, sigma=sigma)
-
-
-def kolmogorov_index(j: DiscreteJoint) -> float:
-    """The dependence index: largest variance of a conditional-expectation
-    image E{phi(X) | Y} over standardized phi.  Equals sigma_1 ** 2."""
-    s = singular_spectrum(j).sigma
-    return float(s[0] ** 2) if s.size else 0.0
+    return SingularSpectrum(sigma0=sigma0, sigma=sigma, shape=(j.n_x, j.n_y))
 
 
 def maximal_correlation(j: DiscreteJoint) -> float:
-    """Largest correlation sup corr(phi(X), psi(Y)).  Equals sigma_1, and its
-    square is :func:`kolmogorov_index`."""
-    s = singular_spectrum(j).sigma
-    return float(s[0]) if s.size else 0.0
+    """Largest correlation sup corr(phi(X), psi(Y)): :attr:`SingularSpectrum.r`."""
+    return singular_spectrum(j).r
 
 
 @dataclass(frozen=True)
@@ -132,8 +178,8 @@ class DependenceProfile:
     ``d[m]`` is the largest generalized variance (covariance determinant) of
     the images of m+1 standardized, mutually uncorrelated functions of X.
     ``r`` is the maximal correlation (so d[0] == r**2), and ``order`` is the
-    smallest m with d[m] below tolerance, or None if every computed value is
-    above it.
+    joint's dependence order (see :meth:`SingularSpectrum.order`), or None
+    when it exceeds ``max_order``.
     """
 
     r: float
@@ -141,7 +187,7 @@ class DependenceProfile:
     order: int | None
 
     def __post_init__(self) -> None:
-        d = _readonly_vector(self.d)
+        d = _frozen_array(self.d)
         if d.size == 0:
             raise SvdFailureError("profile must contain at least d[0]")
         if np.any(d < 0) or np.any(d > 1):
@@ -153,43 +199,11 @@ class DependenceProfile:
         object.__setattr__(self, "d", d)
 
 
-def _readonly_vector(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out.flags.writeable = False
-    return out
-
-
 def dependence_scale(
     j: DiscreteJoint, max_order: int, *, tol: float = DEFAULT_ORDER_TOL
 ) -> DependenceProfile:
-    """Evaluate the dependence scale d[0..max_order].
-
-    Singular values beyond the computable spectrum count as zero, so
-    ``d[m] == 0`` whenever ``m >= min(|X|, |Y|) - 1``.
-    """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    spec = singular_spectrum(j)
-    padded = np.zeros(max_order + 1)
-    k = min(spec.sigma.size, max_order + 1)
-    padded[:k] = spec.sigma[:k]
-    d = np.cumprod(padded**2)
-    below = np.nonzero(d <= tol)[0]
-    order = int(below[0]) if below.size else None
-    r = float(spec.sigma[0]) if spec.sigma.size else 0.0
-    return DependenceProfile(r=r, d=d, order=order)
-
-
-def m_dependence_order(j: DiscreteJoint, tol: float = DEFAULT_ORDER_TOL) -> int:
-    """Smallest m with sigma_{m+1} <= tol (values beyond the spectrum are 0).
-
-    This is the rank certificate behind the scale: the joint's conditional
-    images span an m-dimensional space beyond constants.  Always at most
-    min(|X|, |Y|) - 1.
-    """
-    s = singular_spectrum(j).sigma
-    above = np.nonzero(s <= tol)[0]
-    return int(above[0]) if above.size else int(s.size)
+    """Evaluate the dependence scale d[0..max_order]: :meth:`SingularSpectrum.profile`."""
+    return singular_spectrum(j).profile(max_order, tol)
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +281,7 @@ def _ascend_frames(Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int) -> 
     Returns (best objective seen, number of frames that converged).
     """
     S = np.swapaxes(B, 1, 2) @ (Mt @ B)
-    val = _batch_det(S)
+    val = np.linalg.det(S)
     best = float(val.max(initial=0.0))
     step = np.full(B.shape[0], 1.0)
     n_converged = 0
@@ -290,7 +304,7 @@ def _ascend_frames(Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int) -> 
         while (todo := live & ~accepted).any():
             cand = _batch_orthonormal(B[todo] + trial[todo, None, None] * G_t[todo])
             S_c = np.swapaxes(cand, 1, 2) @ (Mt @ cand)
-            val_c = _batch_det(S_c)
+            val_c = np.linalg.det(S_c)
             ok = val_c >= val[todo] + 1e-4 * trial[todo] * g2[todo]
             idx = np.nonzero(todo)[0]
             good = idx[ok]
@@ -322,10 +336,6 @@ def _batch_orthonormal(a: np.ndarray) -> np.ndarray:
     """Orthonormalize each frame in a stack via QR."""
     q, _ = np.linalg.qr(a)
     return q
-
-
-def _batch_det(s: np.ndarray) -> np.ndarray:
-    return np.linalg.det(s)
 
 
 def _batch_adjugate(s: np.ndarray) -> np.ndarray:

@@ -33,12 +33,7 @@ from .joints import (
     make_finite_rank_conditional,
     make_joint,
 )
-from .spectral import (
-    DEFAULT_ORDER_TOL,
-    _deflated_normalized,
-    dependence_scale,
-    singular_spectrum,
-)
+from .spectral import DEFAULT_ORDER_TOL, _deflated_normalized, singular_spectrum
 
 
 @dataclass(frozen=True)
@@ -46,9 +41,10 @@ class CompletenessResult:
     """Outcome of a completeness check.
 
     ``min_sigma`` is the smallest singular value that had to be positive
-    (None when the dimension condition |X| <= |Y| already fails).  For an
-    incomplete joint, ``witness`` is a standardized function of X with
-    near-constant conditional expectation; for a complete one it is None.
+    (None when the dimension condition |X| <= |Y| already fails, or when
+    |X| = 1 leaves only constants).  For an incomplete joint, ``witness``
+    is a standardized function of X with near-constant conditional
+    expectation; for a complete one it is None.
     """
 
     complete: bool
@@ -63,24 +59,18 @@ class CompletenessResult:
 def check_completeness(j: DiscreteJoint, tol: float = DEFAULT_ORDER_TOL) -> CompletenessResult:
     """Decide completeness of the X -> Y conditional family, with certificate.
 
-    The dimension condition is short-circuited first: with |X| > |Y| a
-    nonconstant kernel function always exists.  Otherwise the joint is
-    complete iff all min(|X|, |Y|) - 1 nontrivial singular values exceed
-    ``tol``.
+    The verdict is :meth:`SingularSpectrum.complete`: |X| <= |Y| (with
+    |X| > |Y| a nonconstant kernel function always exists) and all
+    min(|X|, |Y|) - 1 nontrivial singular values exceed ``tol``.  Only an
+    incomplete joint pays for the witness.
     """
-    if j.n_x > j.n_y:
-        return CompletenessResult(
-            complete=False, min_sigma=None, witness=_kernel_witness(j, tol)
-        )
-    sigma = singular_spectrum(j).sigma
-    if sigma.size == 0:
-        # |X| = 1: only constants exist at all, so the condition is vacuous.
-        return CompletenessResult(complete=True, min_sigma=None, witness=None)
-    smallest = float(sigma[-1])
-    if smallest > tol:
-        return CompletenessResult(complete=True, min_sigma=smallest, witness=None)
+    spectrum = singular_spectrum(j)
+    sigma = spectrum.sigma
+    complete = spectrum.complete(tol)
     return CompletenessResult(
-        complete=False, min_sigma=smallest, witness=_kernel_witness(j, tol)
+        complete=complete,
+        min_sigma=float(sigma[-1]) if sigma.size and j.n_x <= j.n_y else None,
+        witness=None if complete else _kernel_witness(j, tol),
     )
 
 
@@ -91,7 +81,8 @@ def _kernel_witness(j: DiscreteJoint, tol: float) -> FunctionTable:
     any direction orthogonal to sqrt(p_x) with singular value <= tol maps to
     an image of variance sigma^2 <= tol^2.
     """
-    Qc, u0, _ = _deflated_normalized(j)
+    _, Qc = _deflated_normalized(j)
+    u0 = np.sqrt(j.p_x)
     U, s, _ = np.linalg.svd(Qc, full_matrices=True)
     padded = np.zeros(U.shape[1])
     padded[: s.size] = s
@@ -135,15 +126,3 @@ def make_finite_rank_joint(
     cond = make_finite_rank_conditional(p0, components, p_y.size)
     return make_joint(cond * p_y[None, :])
 
-
-def verify_class_membership(
-    j: DiscreteJoint, m: int, tol: float = DEFAULT_ORDER_TOL
-) -> bool:
-    """True iff the order-m scale value of ``j`` vanishes within ``tol``.
-
-    Membership is nested downward: verify at m implies verify at every
-    larger order.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return bool(dependence_scale(j, m, tol=tol).d[m] <= tol)

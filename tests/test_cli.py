@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_finite_rank, random_independent, random_joint
 from depscale import dependence_scale, make_joint, singular_spectrum
 from depscale.cli import main
 
 FIXTURE_CSV = "0.4,0.1\n0.1,0.4\n"
 INDEPENDENT_CSV = "0.25,0.25\n0.25,0.25\n"
+# [[.25+e, .25-e], [.25-e, .25+e]] with e = 2.5e-7: sigma_1 = 4e = 1e-6,
+# above the default 1e-10 tolerance while d[0] = sigma_1**2 = 1e-12 is below.
+WEAK_CSV = "0.25000025,0.24999975\n0.24999975,0.25000025\n"
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +33,11 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def write_table(tmp_path, name, probs):
+    lines = [",".join(f"{float(v)!r}" for v in row) for row in probs]
+    return write(tmp_path, name, "\n".join(lines) + "\n")
 
 
 def write_samples(tmp_path, seed=33, n=3000):
@@ -67,6 +76,39 @@ class TestCompute:
         assert report["order"] == 0
         assert report["complete"] is False
 
+    def test_order_is_the_rank_of_sigma(self, capsys, tmp_path):
+        # order and complete read one rule: sigma_1 = 1e-6 is not zero.
+        path = write(tmp_path, "j.csv", WEAK_CSV)
+        code, out, _ = run_cli(capsys, "compute", path)
+        assert code == 0
+        report = json.loads(out)
+        assert 0.5e-6 < report["sigma"][0] < 2e-6
+        assert report["D"][0] <= 1e-10
+        assert report["order"] == 1
+        assert report["complete"] is True
+
+    def test_order_and_complete_agree(self, capsys, tmp_path):
+        rng = np.random.default_rng(46)
+        seen = set()
+        for i in range(24):
+            n_x = int(rng.integers(2, 6))
+            n_y = int(rng.integers(n_x, 7))
+            kind = i % 3
+            if kind == 0:
+                j = random_joint(rng, n_x, n_y)
+            elif kind == 1:
+                j = random_independent(rng, n_x, n_y)
+            else:
+                j = random_finite_rank(rng, int(rng.integers(1, n_x)), n_x, n_y)
+            path = write_table(tmp_path, f"j{i}.csv", j.probs)
+            code, out, _ = run_cli(capsys, "compute", path)
+            assert code == 0
+            report = json.loads(out)
+            full = report["order"] == min(n_x, n_y) - 1
+            assert report["complete"] is full
+            seen.add(full)
+        assert seen == {True, False}
+
     def test_csv_format_flattens_fields(self, capsys, tmp_path):
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
         code, out, _ = run_cli(capsys, "compute", path, "--format", "csv")
@@ -101,6 +143,43 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", path, "--max-order", "-1")
         assert code == 2
         assert json.loads(err)["error"] == "InvalidArgument"
+
+
+class TestOneSpectrumPerReport:
+    """A report reads every field off one spectrum: two value-only SVDs."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [[0.4, 0.1], [0.1, 0.4]],
+            np.outer([0.5, 0.5], [0.2, 0.3, 0.5]),
+            np.full((6, 3), 1 / 18) + np.kron(np.eye(3), [[0.01], [-0.01]]),
+        ],
+        ids=["complete", "independent", "tall"],
+    )
+    def test_compute(self, capsys, tmp_path, svd_calls, probs):
+        path = write_table(tmp_path, "j.csv", probs)
+        code, _, _ = run_cli(capsys, "compute", path)
+        assert code == 0
+        assert len(svd_calls) == 2
+
+    def test_estimate(self, capsys, tmp_path, svd_calls):
+        path = write_samples(tmp_path)
+        code, _, _ = run_cli(capsys, "estimate", path, "--x", "x", "--y", "y")
+        assert code == 0
+        assert len(svd_calls) == 2
 
 
 class TestEstimate:
@@ -180,6 +259,15 @@ class TestGaussian:
         assert curve["R"][0] == curve["R"][2]
         assert curve["R"][1] == 0.5
         assert_allclose(curve["R"][0], 0.5 / np.sqrt(2.0), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_lambda_is_rejected(self, capsys, tmp_path, bad):
+        path = write(tmp_path, "c.csv", "1,0.5\n0.5,1\n")
+        code, out, err = run_cli(
+            capsys, "gaussian", path, "--dim-x", "1", "--lambdas", "0", bad
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NotPositiveDefinite"
 
     def test_noise_curve_needs_scalar_blocks(self, capsys, tmp_path):
         path = write(tmp_path, "c.csv", "1,0.3,0.1\n0.3,1,0.2\n0.1,0.2,1\n")

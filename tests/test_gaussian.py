@@ -1,5 +1,7 @@
 """Closed-form Gaussian dependence and the noise-injection curve."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,6 +107,35 @@ class TestNoiseCurve:
             curve = noise_curve(scalar(rho), lam, var_z=var_z)
             want = np.abs(rho) / np.sqrt(1.0 + lam**2 * var_z)
             assert_allclose(curve.r_values, want, atol=1e-12)
+
+    def test_is_gaussian_r_of_each_noisy_joint_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        for v11, v12, v22 in [(1.0, 0.8, 1.0), (2.0, -0.3, 0.7), (0.5, 0.49, 3.1)]:
+            g = GaussianJoint(v11=[[v11]], v12=[[v12]], v22=[[v22]])
+            lam = np.sort(rng.uniform(-50, 50, size=200))
+            var_z = rng.uniform(0.2, 3.0)
+            curve = noise_curve(g, lam, var_z=var_z)
+            want = [
+                gaussian_r(GaussianJoint(v11=g.v11, v12=g.v12, v22=g.v22 + (el * el) * var_z))
+                for el in lam
+            ]
+            assert curve.r_values.tolist() == want
+
+    def test_overflowing_noise_gives_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = noise_curve(scalar(0.8), np.array([0.0, 1e200]))
+        assert curve.r_values.tolist() == [0.8, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_lambda(self, bad):
+        with pytest.raises(NotPositiveDefiniteError, match="finite"):
+            noise_curve(scalar(0.5), np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_noise_variance(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            noise_curve(scalar(0.5), np.array([0.0]), var_z=bad)
 
     def test_requires_scalar_joint(self):
         g = GaussianJoint(v11=np.eye(2), v12=np.zeros((2, 2)), v22=np.eye(2))

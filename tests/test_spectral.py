@@ -24,8 +24,6 @@ from depscale import (
     coarsen_y,
     dependence_scale,
     gram_det_oracle,
-    kolmogorov_index,
-    m_dependence_order,
     make_joint,
     maximal_correlation,
     normalized_matrix,
@@ -81,21 +79,25 @@ def test_spectrum_length_and_certificate():
 class TestSingularSpectrumValidation:
     def test_rejects_bad_certificate(self):
         with pytest.raises(SvdFailureError, match="not 1"):
-            SingularSpectrum(sigma0=0.7, sigma=np.array([0.5]))
+            SingularSpectrum(sigma0=0.7, sigma=np.array([0.5]), shape=(2, 2))
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(SvdFailureError):
-            SingularSpectrum(sigma0=1.0, sigma=np.array([1.5]))
+            SingularSpectrum(sigma0=1.0, sigma=np.array([1.5]), shape=(2, 2))
 
     def test_rejects_ascending_values(self):
         with pytest.raises(SvdFailureError):
-            SingularSpectrum(sigma0=1.0, sigma=np.array([0.2, 0.8]))
+            SingularSpectrum(sigma0=1.0, sigma=np.array([0.2, 0.8]), shape=(3, 3))
+
+
+def dependence_index(j):
+    return singular_spectrum(j).r ** 2
 
 
 def test_kolmogorov_index_examples():
-    assert kolmogorov_index(make_joint([[0.25, 0.25], [0.25, 0.25]])) <= 1e-15
-    assert_allclose(kolmogorov_index(make_joint([[0.5, 0.0], [0.0, 0.5]])), 1.0)
-    assert_allclose(kolmogorov_index(make_joint(FIXTURE)), 0.36, atol=1e-12)
+    assert dependence_index(make_joint([[0.25, 0.25], [0.25, 0.25]])) <= 1e-15
+    assert_allclose(dependence_index(make_joint([[0.5, 0.0], [0.0, 0.5]])), 1.0)
+    assert_allclose(dependence_index(make_joint(FIXTURE)), 0.36, atol=1e-12)
 
 
 def test_maximal_correlation_examples():
@@ -161,11 +163,11 @@ class TestDependenceProfileValidation:
 
 
 def test_m_dependence_order_examples():
-    assert m_dependence_order(make_joint([[0.25, 0.25], [0.25, 0.25]])) == 0
-    assert m_dependence_order(make_joint(FIXTURE)) == 1
+    assert singular_spectrum(make_joint([[0.25, 0.25], [0.25, 0.25]])).order() == 0
+    assert singular_spectrum(make_joint(FIXTURE)).order() == 1
     rng = np.random.default_rng(10)
     j = random_joint(rng, 4, 5)  # full rank almost surely
-    assert m_dependence_order(j) == 3
+    assert singular_spectrum(j).order() == 3
 
 
 def test_oracle_fixture():
@@ -250,7 +252,7 @@ def test_coarsening_cannot_increase_dependence():
     for _ in range(25):
         j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(3, 6)))
         co = coarsen_y(j, random_partition(rng, j.n_y))
-        assert kolmogorov_index(co) <= kolmogorov_index(j) + 1e-10
+        assert dependence_index(co) <= dependence_index(j) + 1e-10
         d_full = dependence_scale(j, 3).d
         d_co = dependence_scale(co, 3).d
         assert np.all(d_co <= d_full + 1e-10)

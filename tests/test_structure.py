@@ -13,12 +13,20 @@ from depscale import (
     check_completeness,
     conditional_matrix,
     dependence_scale,
-    m_dependence_order,
     make_finite_rank_joint,
     make_joint,
     maximal_correlation,
-    verify_class_membership,
+    singular_spectrum,
 )
+
+
+def member(j, m: int) -> bool:
+    """Whether ``j`` is in the order-m class: its order is at most m, and
+    then its order-m scale value vanishes."""
+    spectrum = singular_spectrum(j)
+    inside = spectrum.order() <= m
+    assert not inside or spectrum.profile(m).d[m] <= 1e-10
+    return inside
 
 
 def image_variance(j, phi: np.ndarray) -> float:
@@ -80,7 +88,7 @@ class TestFiniteRankJoint:
             np.array([0.2, 0.5, 0.3]), [], np.array([0.5, 0.5])
         )
         assert maximal_correlation(j) <= 1e-12
-        assert m_dependence_order(j) == 0
+        assert singular_spectrum(j).order() == 0
 
     def test_single_component_example(self):
         j = make_finite_rank_joint(
@@ -91,7 +99,7 @@ class TestFiniteRankJoint:
         prof = dependence_scale(j, 1)
         assert prof.d[0] > 1e-3
         assert prof.d[1] <= 1e-10
-        assert m_dependence_order(j) <= 1
+        assert singular_spectrum(j).order() <= 1
 
     def test_two_components_on_four_atoms(self):
         p1 = np.array([0.15, -0.15, 0.05, -0.05])
@@ -103,7 +111,7 @@ class TestFiniteRankJoint:
         )
         prof = dependence_scale(j, 2)
         assert prof.d[2] <= 1e-12
-        assert m_dependence_order(j) <= 2
+        assert singular_spectrum(j).order() <= 2
 
     def test_offending_cell_is_reported(self):
         # first violation in row-major order: p(0|y=1) = 1/3 - 0.5 < 0
@@ -130,26 +138,26 @@ class TestFiniteRankJoint:
 class TestClassMembership:
     def test_independent_is_order_zero(self):
         j = make_joint([[0.25, 0.25], [0.25, 0.25]])
-        assert verify_class_membership(j, 0)
+        assert member(j, 0)
 
     def test_fixture_enters_at_order_one(self):
         j = make_joint([[0.4, 0.1], [0.1, 0.4]])
-        assert not verify_class_membership(j, 0)
-        assert verify_class_membership(j, 1)
+        assert not member(j, 0)
+        assert member(j, 1)
 
     def test_generated_joints_enter_at_their_component_count(self):
         rng = np.random.default_rng(43)
         for k in (1, 2, 3):
             for _ in range(5):
                 j = random_finite_rank(rng, k, k + 2, k + 2)
-                assert verify_class_membership(j, k)
-                assert not verify_class_membership(j, k - 1)
+                assert member(j, k)
+                assert not member(j, k - 1)
 
     def test_membership_is_nested(self):
         rng = np.random.default_rng(44)
         for _ in range(15):
             j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            flags = [verify_class_membership(j, m) for m in range(5)]
+            flags = [member(j, m) for m in range(5)]
             for earlier, later in zip(flags, flags[1:]):
                 assert later or not earlier
 
@@ -160,4 +168,4 @@ class TestClassMembership:
             if not check_completeness(j).complete:
                 continue
             for m in range(min(j.n_x, j.n_y) - 1):
-                assert not verify_class_membership(j, m)
+                assert not member(j, m)
