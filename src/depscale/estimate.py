@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidDistributionError
 from .joints import DiscreteJoint, SampleTable
@@ -110,13 +109,13 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> tuple[np.nd
     col = values.astype(float)
     if strategy == "quantile":
         qs = np.arange(1, bins) / bins
-        edges = np.quantile(np.sort(col, kind="stable"), qs, method="midpoint")
+        edges = np.quantile(col, qs, method="midpoint")
     elif strategy == "uniform-width":
         edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
     else:  # pragma: no cover - BinningSpec already screens strategies
         raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
     codes = np.digitize(col, edges)
-    occupied = np.unique(codes)
+    occupied = np.flatnonzero(np.bincount(codes, minlength=bins))
     if occupied.size < 2:
         # Degenerate edges: the column is constant or collapses under ties.
         return bin_column(values, bins, "categorical")
@@ -169,20 +168,36 @@ def empirical_joint_grouped(
             raise InvalidDistributionError("sample columns must have equal length")
     codes_x, labels_x = bin_column(x, spec.bins_x, spec.strategy)
     parts = [bin_column(y, spec.bins_y, spec.strategy) for y in ys]
-    if len(parts) == 1:
-        codes_y, labels_y = parts[0]
-    else:
-        stacked = np.stack([c for c, _ in parts], axis=1)
-        combos, codes_y = np.unique(stacked, axis=0, return_inverse=True)
-        labels_y = [
-            "&".join(parts[d][1][combo[d]] for d in range(len(parts)))
-            for combo in combos
-        ]
-    counts = np.zeros((len(labels_x), len(labels_y)))
-    np.add.at(counts, (codes_x, codes_y), 1.0)
+    codes_y, labels_y = _product_codes(parts)
+    n_x, n_y = len(labels_x), len(labels_y)
+    counts = np.bincount(codes_x * n_y + codes_y, minlength=n_x * n_y).reshape(n_x, n_y)
     return DiscreteJoint(
         counts / n, labels_x=tuple(labels_x), labels_y=tuple(labels_y)
     )
+
+
+def _product_codes(
+    parts: Sequence[tuple[np.ndarray, list[str]]],
+) -> tuple[np.ndarray, list[str]]:
+    """Dense codes and labels of the observed tuples of several binned columns.
+
+    Tuples are numbered in lexicographic order, first column most
+    significant (the order of ``np.unique(axis=0)``).  The code is
+    re-densified after each column, so it stays below the sample count and
+    no array is sized by the product of the alphabets.
+    """
+    code, labels = parts[0]
+    # combos[d][t] is column d's code in tuple t.
+    combos = [np.arange(len(labels))]
+    for col, col_labels in parts[1:]:
+        k = len(col_labels)
+        used, code = np.unique(code * k + col, return_inverse=True)
+        combos = [c[used // k] for c in combos] + [used % k]
+    labels = [
+        "&".join(part[1][i] for part, i in zip(parts, combo))
+        for combo in zip(*combos)
+    ]
+    return code, labels
 
 
 def estimate_profile(
@@ -237,6 +252,9 @@ def gaussian_quantile_joint(
     with s = sqrt(1 - rho^2), evaluated by fixed-order Gauss-Legendre
     quadrature per panel.  Needs |rho| < 1.
     """
+    # scipy is imported here, its only use, to keep it off the CLI's start-up.
+    from scipy.special import ndtr, ndtri
+
     if not -1.0 < rho < 1.0:
         raise InvalidDistributionError(
             f"rho must lie strictly inside (-1, 1), got {float(rho)!r}"

@@ -1,11 +1,16 @@
 """Binning, plug-in estimation, and the analytic Gaussian discretization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from depscale import (
     BinningSpec,
+    DiscreteJoint,
     InvalidDistributionError,
     SampleTable,
     bin_column,
@@ -16,6 +21,7 @@ from depscale import (
     gaussian_quantile_joint,
     maximal_correlation,
 )
+from depscale.estimate import _merged_interval_labels
 
 
 class TestBinningSpec:
@@ -208,3 +214,104 @@ class TestGaussianQuantileJoint:
         j = gaussian_quantile_joint(0.5, 4, 8)
         assert j.n_x == 4 and j.n_y == 8
         assert_allclose(j.p_x, np.full(4, 0.25), atol=1e-12)
+
+
+def _reference_bin_column(values, bins, strategy):
+    """``bin_column`` as it was written before ``bincount``: sort, then unique."""
+    if strategy == "categorical" or values.dtype == object:
+        atoms, codes = np.unique(values.astype(str) if values.dtype == object else values,
+                                 return_inverse=True)
+        return codes, [str(a) for a in atoms]
+    col = values.astype(float)
+    if strategy == "quantile":
+        qs = np.arange(1, bins) / bins
+        edges = np.quantile(np.sort(col, kind="stable"), qs, method="midpoint")
+    else:
+        edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
+    codes = np.digitize(col, edges)
+    occupied = np.unique(codes)
+    if occupied.size < 2:
+        return _reference_bin_column(values, bins, "categorical")
+    remap = np.full(bins, -1)
+    remap[occupied] = np.arange(occupied.size)
+    return remap[codes], _merged_interval_labels(edges, occupied, bins)
+
+
+def _reference_grouped(x, ys, spec):
+    """Grouped plug-in joint through ``np.unique(axis=0)`` and ``np.add.at``."""
+    codes_x, labels_x = _reference_bin_column(x, spec.bins_x, spec.strategy)
+    parts = [_reference_bin_column(y, spec.bins_y, spec.strategy) for y in ys]
+    stacked = np.stack([c for c, _ in parts], axis=1)
+    combos, codes_y = np.unique(stacked, axis=0, return_inverse=True)
+    labels_y = ["&".join(parts[d][1][combo[d]] for d in range(len(parts))) for combo in combos]
+    counts = np.zeros((len(labels_x), len(labels_y)))
+    np.add.at(counts, (codes_x, codes_y.ravel()), 1.0)
+    j = DiscreteJoint(counts / x.shape[0], labels_x=tuple(labels_x), labels_y=tuple(labels_y))
+    return j.probs, j.labels_x, j.labels_y
+
+
+class TestCountingMatchesReference:
+    """``bincount`` occupancy and product codes reproduce the sort-based path."""
+
+    SPECS = [
+        BinningSpec("quantile", 4, 4),
+        BinningSpec("uniform-width", 5, 6),
+        BinningSpec("categorical"),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.strategy)
+    def test_grouped_joint_on_fixed_columns(self, spec):
+        rng = np.random.default_rng(58)
+        n = 400
+        x = rng.standard_normal(n)
+        ties = np.repeat([0.0, 0.0, 0.0, 1.0, 5.0], n // 5)  # empty bins get merged
+        gappy = np.where(rng.random(n) < 0.5, rng.random(n), 10 + rng.random(n))
+        const = np.full(n, 2.5)  # falls back to categorical
+        words = rng.choice(np.array(["u", "v", "w"], dtype=object), n)
+        for ys in ([ties, gappy], [gappy, const, x], [words, ties], [const, const]):
+            j = empirical_joint_grouped(x, ys, spec)
+            probs, labels_x, labels_y = _reference_grouped(x, ys, spec)
+            assert np.array_equal(j.probs, probs)
+            assert (j.labels_x, j.labels_y) == (labels_x, labels_y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(-2, 2)),
+            min_size=2, max_size=60,
+        ),
+        strategy=st.sampled_from(["quantile", "uniform-width", "categorical"]),
+        bins=st.integers(2, 5),
+    )
+    def test_grouped_joint_on_tied_integer_columns(self, data, strategy, bins):
+        x, y, z = (np.array(c, dtype=float) for c in zip(*data))
+        spec = BinningSpec(strategy, bins, bins)
+        for ys in ([y], [y, z], [z, y, x]):
+            for col in (x, *ys):
+                codes, labels = bin_column(col, bins, strategy)
+                want_codes, want_labels = _reference_bin_column(col, bins, strategy)
+                assert np.array_equal(codes, want_codes) and labels == want_labels
+            j = empirical_joint_grouped(x, ys, spec)
+            probs, labels_x, labels_y = _reference_grouped(x, ys, spec)
+            assert np.array_equal(j.probs, probs)
+            assert (j.labels_x, j.labels_y) == (labels_x, labels_y)
+
+    def test_product_alphabet_is_never_allocated(self):
+        # Two Y columns of n distinct values each: their product alphabet has
+        # n^2 = 9e6 cells (72 MB as int64 counts); only n tuples occur.
+        n = 3000
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal(n)
+        y1 = rng.permutation(n).astype(str).astype(object)
+        y2 = rng.permutation(n).astype(str).astype(object)
+        spec = BinningSpec(bins_x=2, bins_y=2)
+        tracemalloc.start()
+        try:
+            j = empirical_joint_grouped(x, [y1, y2], spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j.n_y == n
+        assert peak < 8 * 2**20
+        probs, _, labels_y = _reference_grouped(x, [y1, y2], spec)
+        assert np.array_equal(j.probs, probs) and j.labels_y == labels_y
