@@ -10,13 +10,10 @@ Gaussian covariance blocks, and raw samples are all supported inputs.
 
 from .ace import TransformPair, ace_pair, ace_subspace
 from .errors import (
-    ComponentNotCenteredError,
     DepscaleError,
     FormatError,
     InvalidBlockError,
     InvalidDistributionError,
-    InvalidPartitionError,
-    NegativeConditionalError,
     NegativeEntryError,
     NonConvergenceError,
     NotNormalizedError,
@@ -33,7 +30,6 @@ from .estimate import (
     bin_column,
     empirical_joint,
     empirical_joint_grouped,
-    estimate_profile,
     gaussian_quantile_joint,
 )
 from .gaussian import NoiseCurve, gaussian_d, gaussian_r, lambda_max, noise_curve
@@ -47,7 +43,6 @@ from .joints import (
     coarsen_y,
     conditional_matrix,
     make_joint,
-    marginals,
 )
 from .spectral import (
     DependenceProfile,
@@ -69,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinningSpec",
     "CompletenessResult",
-    "ComponentNotCenteredError",
     "DepscaleError",
     "DependenceProfile",
     "DiscreteJoint",
@@ -78,8 +72,6 @@ __all__ = [
     "GaussianJoint",
     "InvalidBlockError",
     "InvalidDistributionError",
-    "InvalidPartitionError",
-    "NegativeConditionalError",
     "NegativeEntryError",
     "NoiseCurve",
     "NonConvergenceError",
@@ -104,7 +96,6 @@ __all__ = [
     "dependence_scale",
     "empirical_joint",
     "empirical_joint_grouped",
-    "estimate_profile",
     "gaussian_d",
     "gaussian_quantile_joint",
     "gaussian_r",
@@ -115,7 +106,6 @@ __all__ = [
     "load_samples_csv",
     "make_finite_rank_joint",
     "make_joint",
-    "marginals",
     "maximal_correlation",
     "noise_curve",
     "normalized_matrix",

@@ -35,11 +35,9 @@ class ZeroMarginalError(DepscaleError):
 
 
 class InvalidDistributionError(DepscaleError):
-    """A probability vector is malformed (negative, zero-mass, or wrong shape)."""
-
-
-class InvalidPartitionError(DepscaleError):
-    """A column partition does not cover each column exactly once."""
+    """An input is malformed: a probability vector, sample column, column
+    partition, or finite-rank construction (negative, zero-mass, missing,
+    uncovered, uncentered, or wrong shape)."""
 
 
 class NotPositiveDefiniteError(DepscaleError):
@@ -52,14 +50,6 @@ class InvalidBlockError(DepscaleError):
 
 class NotScalarError(DepscaleError):
     """An operation requiring 1x1 covariance blocks got a larger joint."""
-
-
-class NegativeConditionalError(DepscaleError):
-    """A finite-rank construction produced a negative conditional probability."""
-
-
-class ComponentNotCenteredError(DepscaleError):
-    """A perturbation component does not sum to zero."""
 
 
 class TooFewSamplesError(DepscaleError):

@@ -39,7 +39,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidDistributionError
-from .joints import DiscreteJoint, SampleTable
+from .joints import DiscreteJoint, SampleTable, _sample_columns
 from .spectral import (
     DEFAULT_ORDER_TOL,
     DependenceProfile,
@@ -158,14 +158,11 @@ def empirical_joint_grouped(
     Each Y column is discretized on its own, then the tuple of codes forms
     the product alphabet; with a single column this is exactly
     :func:`empirical_joint`.  Used to study how dependence grows as more
-    coordinates are adjoined to Y.
+    coordinates are adjoined to Y.  The columns must pass the checks of
+    :class:`~depscale.joints.SampleTable`.
     """
-    if len(ys) == 0:
-        raise InvalidDistributionError("need at least one y column")
+    x, ys = _sample_columns(x, ys)
     n = x.shape[0]
-    for y in ys:
-        if y.shape[0] != n:
-            raise InvalidDistributionError("sample columns must have equal length")
     codes_x, labels_x = bin_column(x, spec.bins_x, spec.strategy)
     parts = [bin_column(y, spec.bins_y, spec.strategy) for y in ys]
     codes_y, labels_y = _product_codes(parts)
@@ -198,18 +195,6 @@ def _product_codes(
         for combo in zip(*combos)
     ]
     return code, labels
-
-
-def estimate_profile(
-    sample: SampleTable,
-    spec: BinningSpec,
-    max_order: int = 0,
-    *,
-    tol: float = DEFAULT_ORDER_TOL,
-) -> ProfileEstimate:
-    """Dependence profile of the plug-in joint, with sample-size bookkeeping."""
-    joint = empirical_joint(sample, spec)
-    return profile_of_joint(joint, sample.n, max_order, tol=tol)
 
 
 def profile_of_joint(

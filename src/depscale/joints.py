@@ -6,9 +6,10 @@ partitioned covariance matrix.  Everything downstream (spectra, transforms,
 completeness) consumes these containers, so validation is front-loaded here:
 a constructed object is always safe to compute with.
 
-Tolerances: construction-time mass checks use 1e-12; external inputs (CSV
-entry points in :mod:`depscale.io`) are accepted up to 1e-9 deviation and
-then renormalized exactly, which is also the contract of :func:`make_joint`.
+Tolerances: input tables and probability vectors (CSV entry points in
+:mod:`depscale.io`, and the vectors handed to constructions) are accepted up
+to 1e-9 deviation from mass 1 and then renormalized exactly, which is also
+the contract of :func:`make_joint`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import (
-    ComponentNotCenteredError,
     InvalidBlockError,
     InvalidDistributionError,
-    InvalidPartitionError,
-    NegativeConditionalError,
     NegativeEntryError,
     NotNormalizedError,
     NotPositiveDefiniteError,
@@ -33,9 +31,6 @@ from .errors import (
 
 #: Allowed deviation of an *input* table's total mass from 1 before rejection.
 INPUT_MASS_TOL = 1e-9
-
-#: Mass consistency required of tables produced by internal constructions.
-CONSTRUCTION_MASS_TOL = 1e-12
 
 
 def _frozen_array(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -52,12 +47,15 @@ class DiscreteJoint:
     mass is renormalized to 1 exactly at construction, and every row and
     column marginal is strictly positive (zero-mass atoms are rejected, not
     silently dropped).  Optional ``labels_x`` / ``labels_y`` name the atoms;
-    they play no role in any computation.
+    they play no role in any computation.  The marginals ``p_x`` (row sums)
+    and ``p_y`` (column sums) are computed once, from the frozen ``probs``.
     """
 
     probs: np.ndarray
     labels_x: tuple[str, ...] | None = None
     labels_y: tuple[str, ...] | None = None
+    p_x: np.ndarray = field(init=False, repr=False, compare=False)
+    p_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -77,16 +75,16 @@ class DiscreteJoint:
             raise NotNormalizedError(
                 f"joint table mass is {float(total)!r}, outside 1 +/- {INPUT_MASS_TOL}"
             )
-        p = p / total  # exact renormalization after validation
-        if np.any(p.sum(axis=1) <= 0):
-            raise ZeroMarginalError(
-                f"row {int(np.argmin(p.sum(axis=1)))} has zero mass"
-            )
-        if np.any(p.sum(axis=0) <= 0):
-            raise ZeroMarginalError(
-                f"column {int(np.argmin(p.sum(axis=0)))} has zero mass"
-            )
-        object.__setattr__(self, "probs", _frozen_array(p))
+        p = _frozen_array(p / total)  # exact renormalization after validation
+        for name, axis, atom in (("p_x", 1, "row"), ("p_y", 0, "column")):
+            marginal = p.sum(axis=axis)
+            if np.any(marginal <= 0):
+                raise ZeroMarginalError(
+                    f"{atom} {int(np.argmin(marginal))} has zero mass"
+                )
+            marginal.flags.writeable = False
+            object.__setattr__(self, name, marginal)
+        object.__setattr__(self, "probs", p)
         for name, n in (("labels_x", p.shape[0]), ("labels_y", p.shape[1])):
             labels = getattr(self, name)
             if labels is not None:
@@ -104,16 +102,6 @@ class DiscreteJoint:
     @property
     def n_y(self) -> int:
         return self.probs.shape[1]
-
-    @property
-    def p_x(self) -> np.ndarray:
-        """Marginal distribution of X (row sums)."""
-        return self.probs.sum(axis=1)
-
-    @property
-    def p_y(self) -> np.ndarray:
-        """Marginal distribution of Y (column sums)."""
-        return self.probs.sum(axis=0)
 
     def transposed(self) -> "DiscreteJoint":
         """The joint with the roles of X and Y swapped."""
@@ -137,11 +125,6 @@ def make_joint(
     )
 
 
-def marginals(j: DiscreteJoint) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(p_x, p_y)``, the row and column marginals of ``j``."""
-    return j.p_x, j.p_y
-
-
 def conditional_matrix(j: DiscreteJoint) -> np.ndarray:
     """Conditional table K with ``K[x, y] = P(X = x | Y = y)``.
 
@@ -159,26 +142,36 @@ def augment_with_independent(j: DiscreteJoint, r: np.ndarray) -> DiscreteJoint:
     ``y * len(r) + z``, which :func:`coarsen_y` over consecutive groups of
     ``len(r)`` columns inverts exactly.
     """
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise InvalidDistributionError("r must be a nonempty 1-D probability vector")
-    if not np.all(np.isfinite(r)):
-        raise InvalidDistributionError("r contains non-finite entries")
-    if np.any(r < 0):
-        raise InvalidDistributionError("r contains a negative entry")
-    if np.any(r == 0):
-        raise InvalidDistributionError("r contains a zero-mass atom")
-    if abs(r.sum() - 1.0) > INPUT_MASS_TOL:
-        raise InvalidDistributionError(
-            f"r has mass {float(r.sum())!r}, outside 1 +/- {INPUT_MASS_TOL}"
-        )
-    r = r / r.sum()
+    r = _probability_vector(r, "r", positive=True)
     labels_y = None
     if j.labels_y is not None:
         labels_y = tuple(
             f"{ly}|z{k}" for ly in j.labels_y for k in range(r.size)
         )
     return DiscreteJoint(np.kron(j.probs, r[None, :]), j.labels_x, labels_y)
+
+
+def _probability_vector(v: np.ndarray, name: str, *, positive: bool) -> np.ndarray:
+    """``v`` checked as a probability vector and renormalized exactly.
+
+    Entries must be finite and nonnegative (strictly positive when
+    ``positive``), with mass within ``INPUT_MASS_TOL`` of 1.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise InvalidDistributionError(f"{name} must be a nonempty 1-D probability vector")
+    if not np.all(np.isfinite(v)):
+        raise InvalidDistributionError(f"{name} contains non-finite entries")
+    if np.any(v < 0):
+        raise InvalidDistributionError(f"{name} contains a negative entry")
+    if positive and np.any(v == 0):
+        raise InvalidDistributionError(f"{name} contains a zero-mass atom")
+    total = v.sum()
+    if abs(total - 1.0) > INPUT_MASS_TOL:
+        raise InvalidDistributionError(
+            f"{name} has mass {float(total)!r}, outside 1 +/- {INPUT_MASS_TOL}"
+        )
+    return v / total
 
 
 def coarsen_y(j: DiscreteJoint, partition: Sequence[Sequence[int]]) -> DiscreteJoint:
@@ -194,19 +187,19 @@ def coarsen_y(j: DiscreteJoint, partition: Sequence[Sequence[int]]) -> DiscreteJ
     for g in partition:
         idx = [int(i) for i in g]
         if len(idx) == 0:
-            raise InvalidPartitionError("empty group in partition")
+            raise InvalidDistributionError("empty group in partition")
         for i in idx:
             if i < 0 or i >= j.n_y:
-                raise InvalidPartitionError(
+                raise InvalidDistributionError(
                     f"column index {i} out of range for {j.n_y} columns"
                 )
             if i in seen:
-                raise InvalidPartitionError(f"column index {i} appears twice")
+                raise InvalidDistributionError(f"column index {i} appears twice")
             seen.add(i)
         groups.append(idx)
     if len(seen) != j.n_y:
         missing = sorted(set(range(j.n_y)) - seen)
-        raise InvalidPartitionError(f"columns {missing} not covered by partition")
+        raise InvalidDistributionError(f"columns {missing} not covered by partition")
     cols = np.stack([j.probs[:, idx].sum(axis=1) for idx in groups], axis=1)
     labels_y = None
     if j.labels_y is not None:
@@ -291,100 +284,66 @@ class FunctionTable:
             raise InvalidDistributionError(f"side must be 'x' or 'y', got {self.side!r}")
         object.__setattr__(self, "values", _frozen_array(v))
 
-    def mean_under(self, weights: np.ndarray) -> float:
-        return float(self.values @ np.asarray(weights, dtype=float))
-
-    def variance_under(self, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        mu = self.values @ w
-        return float(((self.values - mu) ** 2) @ w)
-
 
 @dataclass(frozen=True)
 class SampleTable:
     """Paired observations of (X, Y), numeric or categorical per column.
 
-    Columns are stored as numpy arrays of equal length (float arrays for
-    numeric columns, object arrays otherwise).  At least two rows are
-    required and missing entries are rejected.
+    Columns are stored as read-only numpy arrays of equal length (float
+    arrays for numeric columns, object arrays otherwise).  At least two rows
+    are required, and missing or non-finite entries are rejected.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = _as_sample_column(np.asarray(self.x), "x")
-        y = _as_sample_column(np.asarray(self.y), "y")
-        if x.shape[0] != y.shape[0]:
-            raise InvalidDistributionError(
-                f"column lengths differ: {x.shape[0]} vs {y.shape[0]}"
-            )
-        if x.shape[0] < 2:
-            raise TooFewSamplesError(
-                f"need at least 2 paired observations, got {x.shape[0]}"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x, (y,) = _sample_columns(self.x, [self.y])
+        object.__setattr__(self, "x", _frozen_array(x, x.dtype))
+        object.__setattr__(self, "y", _frozen_array(y, y.dtype))
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
 
-def _as_sample_column(col: np.ndarray, name: str) -> np.ndarray:
+def _sample_columns(
+    x: np.ndarray, ys: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Paired sample columns, X against one or more Y columns, checked.
+
+    Every column must be 1-D.  A numeric column comes back as a float array,
+    not copied when it already is one, and must be finite; any other column
+    comes back as an object array of strings, none of them empty (a missing
+    cell).  All columns share one length of at least 2.
+    """
+    if len(ys) == 0:
+        raise InvalidDistributionError("need at least one y column")
+    y_names = ["y"] if len(ys) == 1 else [f"y[{i}]" for i in range(len(ys))]
+    cols = [_sample_column(c, name) for c, name in zip([x, *ys], ["x", *y_names])]
+    n = cols[0].shape[0]
+    for col in cols[1:]:
+        if col.shape[0] != n:
+            raise InvalidDistributionError(
+                f"column lengths differ: {n} vs {col.shape[0]}"
+            )
+    if n < 2:
+        raise TooFewSamplesError(f"need at least 2 paired observations, got {n}")
+    return cols[0], cols[1:]
+
+
+def _sample_column(col: np.ndarray, name: str) -> np.ndarray:
+    col = np.asarray(col)
     if col.ndim != 1:
         raise InvalidDistributionError(f"sample column {name!r} must be 1-D")
     if col.dtype.kind in "fiu":
-        out = col.astype(float)
-        if not np.all(np.isfinite(out)):
+        col = col.astype(float, copy=False)
+        if not np.all(np.isfinite(col)):
             raise InvalidDistributionError(
                 f"sample column {name!r} has missing or non-finite entries"
             )
-    else:
-        items = [str(v) for v in col.tolist()]
-        if any(s == "" for s in items):
-            raise InvalidDistributionError(
-                f"sample column {name!r} has missing entries"
-            )
-        out = np.array(items, dtype=object)
-    out.flags.writeable = False
-    return out
-
-
-def make_finite_rank_conditional(
-    p0: np.ndarray,
-    components: Sequence[tuple[np.ndarray, np.ndarray]],
-    n_y: int,
-) -> np.ndarray:
-    """Conditional table p(x|y) = p0(x) + sum_i p_i(x) q_i(y), validated.
-
-    Shared by :func:`depscale.structure.make_finite_rank_joint`; kept here so
-    the construction sits next to the containers it feeds.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    if p0.ndim != 1 or np.any(p0 < 0) or p0.size == 0:
-        raise InvalidDistributionError("p0 must be a nonnegative vector")
-    if abs(p0.sum() - 1.0) > INPUT_MASS_TOL:
-        raise InvalidDistributionError(
-            f"p0 has mass {float(p0.sum())!r}, outside 1 +/- {INPUT_MASS_TOL}"
-        )
-    cond = np.tile((p0 / p0.sum())[:, None], (1, n_y))
-    for i, (p_i, q_i) in enumerate(components):
-        p_i = np.asarray(p_i, dtype=float)
-        q_i = np.asarray(q_i, dtype=float)
-        if p_i.shape != p0.shape or q_i.shape != (n_y,):
-            raise InvalidDistributionError(
-                f"component {i} has shapes {p_i.shape}/{q_i.shape}, "
-                f"expected {p0.shape}/{(n_y,)}"
-            )
-        if abs(p_i.sum()) > CONSTRUCTION_MASS_TOL:
-            raise ComponentNotCenteredError(
-                f"component {i} sums to {float(p_i.sum())!r}, not 0"
-            )
-        cond = cond + np.outer(p_i, q_i)
-    if np.any(cond < 0):
-        x, y = np.argwhere(cond < 0)[0]
-        raise NegativeConditionalError(
-            f"conditional p(x|y) is {float(cond[x, y])!r} at cell ({x}, {y})"
-        )
-    return cond
+        return col
+    items = [str(v) for v in col.tolist()]
+    if any(s == "" for s in items):
+        raise InvalidDistributionError(f"sample column {name!r} has missing entries")
+    return np.array(items, dtype=object)

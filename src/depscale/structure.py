@@ -27,13 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidDistributionError
-from .joints import (
-    DiscreteJoint,
-    FunctionTable,
-    make_finite_rank_conditional,
-    make_joint,
-)
+from .joints import DiscreteJoint, FunctionTable, _probability_vector, make_joint
 from .spectral import DEFAULT_ORDER_TOL, _deflated_normalized, singular_spectrum
+
+#: How far a component's sum may sit from 0 and still count as centered.
+CONSTRUCTION_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,6 @@ class CompletenessResult:
     complete: bool
     min_sigma: float | None
     witness: FunctionTable | None
-
-    @property
-    def certificate(self) -> float | FunctionTable:
-        return self.witness if self.witness is not None else self.min_sigma
 
 
 def check_completeness(j: DiscreteJoint, tol: float = DEFAULT_ORDER_TOL) -> CompletenessResult:
@@ -112,17 +106,28 @@ def make_finite_rank_joint(
     resulting conditional must stay nonnegative cell by cell.  The images
     E{phi(X)|Y} of all inputs then live in span{1, q_1, ..., q_m}, so the
     joint's order-m scale value is exactly zero with m = len(components).
+    ``p0`` (on X) and ``p_y`` (on Y, strictly positive) must be probability
+    vectors within 1e-9 of mass 1; both are then renormalized exactly.
     """
-    p_y = np.asarray(p_y, dtype=float)
-    if p_y.ndim != 1 or p_y.size == 0 or np.any(p_y <= 0):
+    p_y = _probability_vector(p_y, "p_y", positive=True)
+    p0 = _probability_vector(p0, "p0", positive=False)
+    cond = np.tile(p0[:, None], (1, p_y.size))
+    for i, (p_i, q_i) in enumerate(components):
+        p_i = np.asarray(p_i, dtype=float)
+        q_i = np.asarray(q_i, dtype=float)
+        if p_i.shape != p0.shape or q_i.shape != p_y.shape:
+            raise InvalidDistributionError(
+                f"component {i} has shapes {p_i.shape}/{q_i.shape}, "
+                f"expected {p0.shape}/{p_y.shape}"
+            )
+        if abs(p_i.sum()) > CONSTRUCTION_MASS_TOL:
+            raise InvalidDistributionError(
+                f"component {i} sums to {float(p_i.sum())!r}, not 0"
+            )
+        cond = cond + np.outer(p_i, q_i)
+    if np.any(cond < 0):
+        x, y = np.argwhere(cond < 0)[0]
         raise InvalidDistributionError(
-            "p_y must be a strictly positive probability vector"
+            f"conditional p(x|y) is {float(cond[x, y])!r} at cell ({x}, {y})"
         )
-    if abs(p_y.sum() - 1.0) > 1e-9:
-        raise InvalidDistributionError(
-            f"p_y has mass {float(p_y.sum())!r}, outside 1 +/- 1e-09"
-        )
-    p_y = p_y / p_y.sum()
-    cond = make_finite_rank_conditional(p0, components, p_y.size)
     return make_joint(cond * p_y[None, :])
-

@@ -48,10 +48,9 @@ def test_returned_tables_are_standardized():
         if p.degenerate:
             continue
         assert p.phi.standardized and p.psi.standardized
-        assert abs(p.phi.mean_under(j.p_x)) <= 1e-10
-        assert abs(p.phi.variance_under(j.p_x) - 1.0) <= 1e-10
-        assert abs(p.psi.mean_under(j.p_y)) <= 1e-10
-        assert abs(p.psi.variance_under(j.p_y) - 1.0) <= 1e-10
+        for t, w in ((p.phi, j.p_x), (p.psi, j.p_y)):
+            assert abs(t.values @ w) <= 1e-10
+            assert abs(((t.values - t.values @ w) ** 2) @ w - 1.0) <= 1e-10
 
 
 def test_achieved_rho_is_the_correlation_of_the_pair():

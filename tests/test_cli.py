@@ -231,6 +231,33 @@ class TestEstimate:
         assert error["error"] == "Format"
         assert "'x', 'y', 'z'" in error["message"]
 
+    # A valid 50-row file; three cases append one bad row to it.
+    FIFTY_ROWS = "x,y\n" + "".join(f"{i},{(7 * i) % 10}\n" for i in range(50))
+
+    @pytest.mark.parametrize(
+        "text, y, error, message",
+        [
+            (FIFTY_ROWS + "nan,2\n", ["y"], "InvalidDistribution",
+             "sample column 'x' has missing or non-finite entries"),
+            (FIFTY_ROWS + "1,inf\n", ["y"], "InvalidDistribution",
+             "sample column 'y' has missing or non-finite entries"),
+            (FIFTY_ROWS + "1,inf\n", ["x", "y"], "InvalidDistribution",
+             "sample column 'y[1]' has missing or non-finite entries"),
+            ("x,y\n1,\n2,b\n", ["y"], "InvalidDistribution",
+             "sample column 'y' has missing entries"),
+            ("x,y\n1,2\n", ["y"], "TooFewSamples",
+             "need at least 2 paired observations, got 1"),
+        ],
+        ids=["nan-cell", "inf-cell", "inf-cell-second-y", "empty-cell", "one-row"],
+    )
+    def test_invalid_samples_are_structured_errors(
+        self, capsys, tmp_path, text, y, error, message
+    ):
+        path = write(tmp_path, "bad.csv", text)
+        code, out, err = run_cli(capsys, "estimate", path, "--x", "x", "--y", *y)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"schema": "v1", "error": error, "message": message}
+
 
 class TestGaussian:
     def test_scalar_closed_form(self, capsys, tmp_path):

@@ -17,11 +17,10 @@ from depscale import (
     coarsen_y,
     empirical_joint,
     empirical_joint_grouped,
-    estimate_profile,
     gaussian_quantile_joint,
     maximal_correlation,
 )
-from depscale.estimate import _merged_interval_labels
+from depscale.estimate import _merged_interval_labels, profile_of_joint
 
 
 class TestBinningSpec:
@@ -119,7 +118,8 @@ class TestEstimateProfile:
         rng = np.random.default_rng(53)
         x = rng.standard_normal(4000)
         y = x + 0.5 * rng.standard_normal(4000)
-        est = estimate_profile(SampleTable(x, y), BinningSpec(), max_order=2)
+        s = SampleTable(x, y)
+        est = profile_of_joint(empirical_joint(s, BinningSpec()), s.n, 2)
         assert est.n == 4000
         assert est.bins == (8, 8)
         assert not est.bias_warning  # 4000 >= 10 * 64
@@ -130,12 +130,13 @@ class TestEstimateProfile:
     def test_bias_warning_on_small_samples(self):
         rng = np.random.default_rng(54)
         s = SampleTable(rng.standard_normal(100), rng.standard_normal(100))
-        est = estimate_profile(s, BinningSpec(bins_x=8, bins_y=8))
+        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=8, bins_y=8)), s.n, 0)
         assert est.bias_warning
 
     def test_identity_pair_reaches_one(self):
         u = np.linspace(0.0, 1.0, 64)
-        est = estimate_profile(SampleTable(u, u), BinningSpec(bins_x=4, bins_y=4))
+        s = SampleTable(u, u)
+        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=4, bins_y=4)), s.n, 0)
         assert_allclose(est.profile.d[0], 1.0)
 
 

@@ -11,7 +11,6 @@ from depscale import (
     GaussianJoint,
     InvalidBlockError,
     InvalidDistributionError,
-    InvalidPartitionError,
     NegativeEntryError,
     NotNormalizedError,
     NotPositiveDefiniteError,
@@ -22,8 +21,8 @@ from depscale import (
     coarsen_y,
     conditional_matrix,
     make_joint,
-    marginals,
 )
+from depscale.joints import _sample_columns
 
 
 class TestMakeJoint:
@@ -84,17 +83,20 @@ class TestMakeJoint:
 
 class TestMarginals:
     def test_symmetric_table(self):
-        p_x, p_y = marginals(make_joint([[0.4, 0.1], [0.1, 0.4]]))
+        j = make_joint([[0.4, 0.1], [0.1, 0.4]])
+        p_x, p_y = j.p_x, j.p_y
         assert_allclose(p_x, [0.5, 0.5])
         assert_allclose(p_y, [0.5, 0.5])
 
     def test_diagonal(self):
-        p_x, p_y = marginals(make_joint([[0.5, 0.0], [0.0, 0.5]]))
+        j = make_joint([[0.5, 0.0], [0.0, 0.5]])
+        p_x, p_y = j.p_x, j.p_y
         assert_allclose(p_x, [0.5, 0.5])
         assert_allclose(p_y, [0.5, 0.5])
 
     def test_rectangular(self):
-        p_x, p_y = marginals(make_joint([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]]))
+        j = make_joint([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]])
+        p_x, p_y = j.p_x, j.p_y
         assert_allclose(p_x, [0.5, 0.5])
         assert_allclose(p_y, [0.3, 0.3, 0.4])
 
@@ -102,9 +104,17 @@ class TestMarginals:
         rng = np.random.default_rng(0)
         for _ in range(20):
             j = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            p_x, p_y = marginals(j)
+            p_x, p_y = j.p_x, j.p_y
             assert abs(p_x.sum() - 1.0) <= 1e-12
             assert abs(p_y.sum() - 1.0) <= 1e-12
+
+    def test_computed_once_read_only_and_bit_identical(self):
+        j = random_joint(np.random.default_rng(3), 5, 4)
+        assert j.p_x is j.p_x and j.p_y is j.p_y
+        assert np.array_equal(j.p_x, j.probs.sum(axis=1))
+        assert np.array_equal(j.p_y, j.probs.sum(axis=0))
+        with pytest.raises(ValueError):
+            j.p_x[0] = 1.0
 
 
 class TestConditionalMatrix:
@@ -205,7 +215,7 @@ class TestCoarsenY:
     )
     def test_invalid_partitions(self, partition):
         j = make_joint([[0.4, 0.1], [0.1, 0.4]])
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(InvalidDistributionError):
             coarsen_y(j, partition)
 
 
@@ -239,8 +249,8 @@ class TestFunctionTable:
     def test_mean_and_variance_under_weights(self):
         t = FunctionTable([1.0, -1.0], "x")
         w = np.array([0.5, 0.5])
-        assert t.mean_under(w) == 0.0
-        assert t.variance_under(w) == 1.0
+        assert t.values @ w == 0.0
+        assert ((t.values - t.values @ w) ** 2) @ w == 1.0
 
     def test_rejects_bad_side(self):
         with pytest.raises(InvalidDistributionError, match="side"):
@@ -277,3 +287,11 @@ class TestSampleTable:
     def test_missing_entries_rejected(self):
         with pytest.raises(InvalidDistributionError):
             SampleTable([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+    def test_float_columns_are_checked_without_a_copy(self):
+        x, y = np.arange(3.0), np.arange(3.0)
+        checked_x, (checked_y,) = _sample_columns(x, [y])
+        assert checked_x is x and checked_y is y
+        s = SampleTable(x, y)  # the table keeps its own read-only copy
+        x[0] = 9.0
+        assert s.x[0] == 0.0 and not s.x.flags.writeable
