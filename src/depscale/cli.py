@@ -14,7 +14,7 @@ import csv
 import io as _io
 import json
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .gaussian import gaussian_d, gaussian_r, lambda_max, noise_curve
 from .io import load_covariance_csv, load_joint_csv, load_samples_csv, select_column
 from .spectral import (
     DEFAULT_ORDER_TOL,
-    DependenceProfile,
     SingularSpectrum,
     dependence_scale,
     gram_det_oracle,
@@ -44,9 +43,8 @@ SCHEMA = "v1"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = args.handler(args)
     except DepscaleError as exc:
         _emit_error(exc.code, str(exc))
@@ -61,25 +59,30 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run(argv: list[str] | None = None) -> None:  # pragma: no cover
-    sys.exit(main(argv))
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``ValueError``, which ``main`` turns into the
+    structured ``InvalidArgument`` object (exit 2); ``--help`` is unchanged."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="depscale",
         description="Dependence index, maximal correlation, and m-dependence "
         "scale of joint distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, tol_default: float = DEFAULT_ORDER_TOL) -> None:
+    def common(
+        p: argparse.ArgumentParser, *, tol_default: float | None = DEFAULT_ORDER_TOL
+    ) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--tol", type=float, default=tol_default,
-                       help=f"numerical tolerance (default {tol_default:g})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized steps (default 0)")
+        if tol_default is not None:
+            p.add_argument("--tol", type=float, default=tol_default,
+                           help=f"numerical tolerance (default {tol_default:g})")
 
     p = sub.add_parser("compute", help="full report for a joint pmf CSV")
     p.add_argument("joint", help="path to the pmf table")
@@ -109,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="noise scales: append R(X, Y + lambda Z) for scalar joints")
     p.add_argument("--var-z", type=float, default=1.0,
                    help="variance of the added noise (default 1)")
-    common(p)
+    common(p, tol_default=None)
     p.set_defaults(handler=_cmd_gaussian)
 
     p = sub.add_parser("transforms", help="leading transform pairs of a joint pmf CSV")
@@ -118,6 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="sweep budget (default 10000)")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized steps (default 0)")
     p.set_defaults(handler=_cmd_transforms)
 
     p = sub.add_parser("oracle", help="audit the scale by direct maximization")
@@ -126,14 +131,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32,
                    help="ascent restarts (default 32)")
     common(p, tol_default=1e-12)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized steps (default 0)")
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
 
 def _profile_report(
-    spectrum: SingularSpectrum, profile: DependenceProfile, tol: float
+    spectrum: SingularSpectrum, max_order: int | None, tol: float
 ) -> dict[str, Any]:
+    profile = spectrum.profile(max_order, tol)
     return {
         "schema": SCHEMA,
         "sigma0": spectrum.sigma0,
@@ -147,7 +155,7 @@ def _profile_report(
 
 def _cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
     spectrum = singular_spectrum(load_joint_csv(args.joint))
-    return _profile_report(spectrum, spectrum.profile(args.max_order, args.tol), args.tol)
+    return _profile_report(spectrum, args.max_order, args.tol)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
@@ -156,11 +164,9 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     ys = [select_column(names, columns, key, "y") for key in args.y]
     spec = BinningSpec(strategy=args.strategy, bins_x=args.bins, bins_y=args.bins)
     joint = empirical_joint_grouped(x, ys, spec)
-    est = profile_of_joint(joint, x.shape[0], args.max_order, tol=args.tol)
-    report = _profile_report(est.spectrum, est.profile, args.tol)
-    report.update(
-        n=est.n, bins=[est.bins[0], est.bins[1]], bias_warning=est.bias_warning
-    )
+    est = profile_of_joint(joint, x.shape[0])
+    report = _profile_report(est.spectrum, args.max_order, args.tol)
+    report.update(n=est.n, bins=[joint.n_x, joint.n_y], bias_warning=est.bias_warning)
     return report
 
 
@@ -240,8 +246,7 @@ def _write_csv_field(writer, key: str, value: Any) -> None:
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             if isinstance(item, dict):
-                for sub, inner in item.items():
-                    _write_csv_field(writer, f"{key}[{i}].{sub}", inner)
+                _write_csv_field(writer, f"{key}[{i}]", item)
             else:
                 writer.writerow([key, i, _csv_scalar(item)])
     else:
@@ -263,4 +268,4 @@ def _emit_error(code: str, message: str) -> None:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    run()
+    sys.exit(main())

@@ -39,13 +39,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidDistributionError
-from .joints import DiscreteJoint, SampleTable, _sample_columns
-from .spectral import (
-    DEFAULT_ORDER_TOL,
-    DependenceProfile,
-    SingularSpectrum,
-    singular_spectrum,
-)
+from .joints import DiscreteJoint, SampleTable, _column_names, _sample_columns
+from .spectral import SingularSpectrum, singular_spectrum
 
 Strategy = Literal["quantile", "uniform-width", "categorical"]
 
@@ -79,41 +74,44 @@ class BinningSpec:
 
 @dataclass(frozen=True)
 class ProfileEstimate:
-    """A plug-in dependence profile with its provenance.
+    """A plug-in joint of ``n`` samples with its spectrum.
 
-    ``spectrum`` is the plug-in joint's spectrum the profile was read from.
-    ``bins`` holds the achieved alphabet sizes (|X|, |Y|) after empty-bin
-    merging and categorical fallbacks; ``bias_warning`` is set when
-    n < 10 * |X| * |Y|, the regime where the plug-in R is noticeably
-    inflated.
+    The profile is ``spectrum.profile(max_order, tol)``; the achieved
+    alphabet sizes after empty-bin merging and categorical fallbacks are
+    ``joint.n_x`` and ``joint.n_y``.
     """
 
-    profile: DependenceProfile
     spectrum: SingularSpectrum
     joint: DiscreteJoint
     n: int
-    bins: tuple[int, int]
-    bias_warning: bool
+
+    @property
+    def bias_warning(self) -> bool:
+        """n < 10 * |X| * |Y|, the regime where the plug-in R is noticeably
+        inflated."""
+        return self.n < 10 * self.joint.n_x * self.joint.n_y
 
 
 def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> tuple[np.ndarray, list[str]]:
     """Discretize one column; returns (codes, atom labels).
 
     Codes are dense in 0..k-1 with every atom occupied.  Numeric strategies
-    fall back to categorical when the edges collapse.
+    fall back to categorical when the edges collapse, and raise
+    ``FloatingPointError`` when computing the edges overflows.
     """
     if strategy == "categorical" or values.dtype == object:
         atoms, codes = np.unique(values.astype(str) if values.dtype == object else values,
                                  return_inverse=True)
         return codes, [str(a) for a in atoms]
     col = values.astype(float)
-    if strategy == "quantile":
-        qs = np.arange(1, bins) / bins
-        edges = np.quantile(col, qs, method="midpoint")
-    elif strategy == "uniform-width":
-        edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
-    else:  # pragma: no cover - BinningSpec already screens strategies
-        raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
+    with np.errstate(over="raise", invalid="raise"):
+        if strategy == "quantile":
+            qs = np.arange(1, bins) / bins
+            edges = np.quantile(col, qs, method="midpoint")
+        elif strategy == "uniform-width":
+            edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
+        else:  # pragma: no cover - BinningSpec already screens strategies
+            raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
     codes = np.digitize(col, edges)
     occupied = np.flatnonzero(np.bincount(codes, minlength=bins))
     if occupied.size < 2:
@@ -126,23 +124,16 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> tuple[np.nd
 
 
 def _merged_interval_labels(edges: np.ndarray, occupied: np.ndarray, bins: int) -> list[str]:
-    """Interval labels where empty bins are absorbed by the nearest occupied one."""
-    # owner[b] = occupied bin absorbing original bin b (nearest index, tie left).
-    pos = np.searchsorted(occupied, np.arange(bins))
-    pos = np.clip(pos, 0, occupied.size - 1)
-    left = occupied[np.clip(pos - 1, 0, occupied.size - 1)]
-    right = occupied[pos]
-    dist_left = np.abs(np.arange(bins) - left)
-    dist_right = np.abs(right - np.arange(bins))
-    owner = np.where(dist_left <= dist_right, left, right)
-    owner[occupied] = occupied
+    """Interval labels where empty bins are absorbed by the nearest occupied one.
+
+    The empty bins between occupied bins o_i < o_{i+1} split at
+    (o_i + o_{i+1}) // 2 + 1, ties going left; bins outside the occupied
+    range go to the nearest end.
+    """
+    splits = (occupied[:-1] + occupied[1:]) // 2 + 1
     bounds = np.concatenate([[-np.inf], edges, [np.inf]])
-    labels = []
-    for b in occupied:
-        mine = np.nonzero(owner == b)[0]
-        lo, hi = bounds[mine.min()], bounds[mine.max() + 1]
-        labels.append(f"[{lo:.6g}, {hi:.6g})")
-    return labels
+    cuts = bounds[np.concatenate([[0], splits, [bins]])]
+    return [f"[{lo:.6g}, {hi:.6g})" for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def empirical_joint(sample: SampleTable, spec: BinningSpec) -> DiscreteJoint:
@@ -163,8 +154,16 @@ def empirical_joint_grouped(
     """
     x, ys = _sample_columns(x, ys)
     n = x.shape[0]
-    codes_x, labels_x = bin_column(x, spec.bins_x, spec.strategy)
-    parts = [bin_column(y, spec.bins_y, spec.strategy) for y in ys]
+    parts = []
+    sizes = [spec.bins_x] + [spec.bins_y] * len(ys)
+    for col, bins, name in zip([x, *ys], sizes, _column_names(len(ys))):
+        try:
+            parts.append(bin_column(col, bins, spec.strategy))
+        except FloatingPointError:
+            raise InvalidDistributionError(
+                f"sample column {name!r}: {spec.strategy} bin edges overflow a float"
+            ) from None
+    (codes_x, labels_x), *parts = parts
     codes_y, labels_y = _product_codes(parts)
     n_x, n_y = len(labels_x), len(labels_y)
     counts = np.bincount(codes_x * n_y + codes_y, minlength=n_x * n_y).reshape(n_x, n_y)
@@ -197,22 +196,9 @@ def _product_codes(
     return code, labels
 
 
-def profile_of_joint(
-    joint: DiscreteJoint, n: int, max_order: int | None, *, tol: float = DEFAULT_ORDER_TOL
-) -> ProfileEstimate:
-    """Wrap a plug-in joint's profile with its estimation metadata.
-
-    ``max_order`` None means min(|X|, |Y|) - 1 (see :meth:`SingularSpectrum.profile`).
-    """
-    spectrum = singular_spectrum(joint)
-    return ProfileEstimate(
-        profile=spectrum.profile(max_order, tol),
-        spectrum=spectrum,
-        joint=joint,
-        n=n,
-        bins=(joint.n_x, joint.n_y),
-        bias_warning=n < 10 * joint.n_x * joint.n_y,
-    )
+def profile_of_joint(joint: DiscreteJoint, n: int) -> ProfileEstimate:
+    """Wrap a plug-in joint of ``n`` samples with its spectrum."""
+    return ProfileEstimate(spectrum=singular_spectrum(joint), joint=joint, n=n)
 
 
 # --------------------------------------------------------------------------

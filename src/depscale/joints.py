@@ -319,8 +319,7 @@ def _sample_columns(
     """
     if len(ys) == 0:
         raise InvalidDistributionError("need at least one y column")
-    y_names = ["y"] if len(ys) == 1 else [f"y[{i}]" for i in range(len(ys))]
-    cols = [_sample_column(c, name) for c, name in zip([x, *ys], ["x", *y_names])]
+    cols = [_sample_column(c, name) for c, name in zip([x, *ys], _column_names(len(ys)))]
     n = cols[0].shape[0]
     for col in cols[1:]:
         if col.shape[0] != n:
@@ -330,6 +329,11 @@ def _sample_columns(
     if n < 2:
         raise TooFewSamplesError(f"need at least 2 paired observations, got {n}")
     return cols[0], cols[1:]
+
+
+def _column_names(n_ys: int) -> list[str]:
+    """How messages name the X column and the Y columns."""
+    return ["x", "y"] if n_ys == 1 else ["x", *(f"y[{i}]" for i in range(n_ys))]
 
 
 def _sample_column(col: np.ndarray, name: str) -> np.ndarray:

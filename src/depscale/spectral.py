@@ -260,7 +260,7 @@ def gram_det_oracle(
     Mt = (Mt + Mt.T) / 2.0
 
     rng = np.random.default_rng(seed)
-    B = _batch_orthonormal(rng.standard_normal((restarts, n_x - 1, k)))
+    B = np.linalg.qr(rng.standard_normal((restarts, n_x - 1, k)))[0]
     best, n_converged = _ascend_frames(Mt, B, tol, max_iter)
     if n_converged == 0:
         raise NonConvergenceError(
@@ -302,7 +302,7 @@ def _ascend_frames(Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int) -> 
         trial = step * 2.0
         accepted = np.zeros_like(done)
         while (todo := live & ~accepted).any():
-            cand = _batch_orthonormal(B[todo] + trial[todo, None, None] * G_t[todo])
+            cand = np.linalg.qr(B[todo] + trial[todo, None, None] * G_t[todo])[0]
             S_c = np.swapaxes(cand, 1, 2) @ (Mt @ cand)
             val_c = np.linalg.det(S_c)
             ok = val_c >= val[todo] + 1e-4 * trial[todo] * g2[todo]
@@ -332,43 +332,19 @@ def _ascend_frames(Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int) -> 
     return best, n_converged
 
 
-def _batch_orthonormal(a: np.ndarray) -> np.ndarray:
-    """Orthonormalize each frame in a stack via QR."""
-    q, _ = np.linalg.qr(a)
-    return q
-
-
 def _batch_adjugate(s: np.ndarray) -> np.ndarray:
     """Adjugate of each k x k matrix in a stack.
 
     adj(S) = det(S) inv(S) when invertible, but stays finite at singular S,
     which matters because the ascent visits det = 0 frames whenever
-    m + 1 exceeds the joint's nontrivial rank.  Computed from cofactors:
-    closed forms for k <= 3, minor expansion above.
+    m + 1 exceeds the joint's nontrivial rank.  Computed as the transposed
+    cofactor matrix: every (k-1) x (k-1) minor is stacked and taken in one
+    batched determinant (at k = 1 the minors are empty and give exact ones).
     """
     k = s.shape[-1]
-    if k == 1:
-        return np.ones_like(s)
-    if k == 2:
-        out = np.empty_like(s)
-        out[..., 0, 0] = s[..., 1, 1]
-        out[..., 1, 1] = s[..., 0, 0]
-        out[..., 0, 1] = -s[..., 0, 1]
-        out[..., 1, 0] = -s[..., 1, 0]
-        return out
-    if k == 3:
-        # Rows of the adjugate are cross products of pairs of columns.
-        c0, c1, c2 = s[..., :, 0], s[..., :, 1], s[..., :, 2]
-        out = np.stack(
-            [np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2
-        )
-        return out
-    idx = np.arange(k)
-    out = np.empty_like(s)
-    for i in range(k):
-        rows = idx[idx != i]
-        for jcol in range(k):
-            cols = idx[idx != jcol]
-            minor = s[..., rows[:, None], cols[None, :]]
-            out[..., jcol, i] = (-1.0) ** (i + jcol) * np.linalg.det(minor)
-    return out
+    # rest[i] lists the indices other than i.
+    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+    # minors[..., i, j] is s without row i and column j.
+    minors = s[..., rest[:, None, :, None], rest[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
+    return np.swapaxes(sign * np.linalg.det(minors), -1, -2)

@@ -64,35 +64,24 @@ def check_completeness(j: DiscreteJoint, tol: float = DEFAULT_ORDER_TOL) -> Comp
     return CompletenessResult(
         complete=complete,
         min_sigma=float(sigma[-1]) if sigma.size and j.n_x <= j.n_y else None,
-        witness=None if complete else _kernel_witness(j, tol),
+        witness=None if complete else _kernel_witness(j),
     )
 
 
-def _kernel_witness(j: DiscreteJoint, tol: float) -> FunctionTable:
+def _kernel_witness(j: DiscreteJoint) -> FunctionTable:
     """A standardized phi on X whose conditional image is (near) constant.
 
-    Taken from the left singular directions of the deflated normalized table:
-    any direction orthogonal to sqrt(p_x) with singular value <= tol maps to
-    an image of variance sigma^2 <= tol^2.
+    The deflated normalized table ``Qc`` has sqrt(p_x) in its left null
+    space; appending sqrt(p_x) as a column lifts that constant direction to
+    singular value 1.  The last left singular vector of ``[Qc | sqrt(p_x)]``
+    is then a unit direction orthogonal to sqrt(p_x) with the smallest
+    singular value of ``Qc`` (zero when |X| > |Y|), so its image has
+    variance sigma^2 <= tol^2 on an incomplete joint.
     """
     _, Qc = _deflated_normalized(j)
     u0 = np.sqrt(j.p_x)
-    U, s, _ = np.linalg.svd(Qc, full_matrices=True)
-    padded = np.zeros(U.shape[1])
-    padded[: s.size] = s
-    small = np.nonzero(padded <= tol)[0]
-    cand = U[:, small]
-    # The constant direction itself sits in this null space by construction;
-    # project it out and keep the most prominent survivor.
-    cand = cand - np.outer(u0, u0 @ cand)
-    norms = np.sqrt((cand**2).sum(axis=0))
-    best = int(np.argmax(norms))
-    if norms[best] <= 1e-8:  # pragma: no cover - only if called on a complete joint
-        raise InvalidDistributionError("no kernel witness exists; the joint is complete")
-    a = cand[:, best] / norms[best]
-    a = a - u0 * (u0 @ a)
-    a = a / np.sqrt(a @ a)
-    return FunctionTable(a / np.sqrt(j.p_x), "x", standardized=True)
+    U, _, _ = np.linalg.svd(np.column_stack([Qc, u0]), full_matrices=True)
+    return FunctionTable(U[:, -1] / u0, "x", standardized=True)
 
 
 def make_finite_rank_joint(

@@ -4,9 +4,12 @@ Every assertion goes through ``main(argv)`` in process so stdout/stderr and
 exit codes are exercised exactly as a shell user would see them.
 """
 
+import argparse
 import csv
+import inspect
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_finite_rank, random_independent, random_joint
 from depscale import dependence_scale, make_joint, singular_spectrum
+from depscale import cli
 from depscale.cli import main
 
 FIXTURE_CSV = "0.4,0.1\n0.1,0.4\n"
@@ -258,6 +262,50 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert json.loads(err) == {"schema": "v1", "error": error, "message": message}
 
+    # max - min overflows, so uniform-width edges cannot be computed.
+    WIDE_RANGE = "x,y\n-1e308,1\n1e308,2\n0,3\n5,4\n"
+    # Adjacent order statistics +-1e308: the midpoint quantile edge overflows.
+    ALTERNATING = "x,y\n" + "".join(f"{(-1) ** i * 1e308!r},{i % 3}\n" for i in range(12))
+
+    @pytest.mark.parametrize(
+        "text, strategy, y",
+        [
+            (WIDE_RANGE, "uniform-width", ["y"]),
+            (ALTERNATING, "quantile", ["y"]),
+            (ALTERNATING, "uniform-width", ["y"]),
+        ],
+        ids=["uniform-width", "quantile", "uniform-width-alternating"],
+    )
+    def test_overflowing_bin_edges_are_structured_errors(
+        self, capsys, tmp_path, text, strategy, y
+    ):
+        path = write(tmp_path, "wide.csv", text)
+        code, out, err = run_cli(
+            capsys, "estimate", path, "--x", "x", "--y", *y, "--strategy", strategy
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "schema": "v1", "error": "InvalidDistribution",
+            "message": f"sample column 'x': {strategy} bin edges overflow a float",
+        }
+
+    def test_overflow_names_the_y_column_of_a_group(self, capsys, tmp_path):
+        path = write(tmp_path, "wide.csv", self.WIDE_RANGE.replace("x,y", "y,x"))
+        code, _, err = run_cli(capsys, "estimate", path, "--x", "x", "--y", "x", "y",
+                               "--strategy", "uniform-width")
+        assert code == 2
+        assert json.loads(err)["message"] == (
+            "sample column 'y[1]': uniform-width bin edges overflow a float"
+        )
+
+    @pytest.mark.parametrize("strategy", ["quantile", "categorical"])
+    def test_wide_columns_whose_edges_compute_still_bin(self, capsys, tmp_path, strategy):
+        path = write(tmp_path, "wide.csv", self.WIDE_RANGE)
+        code, out, err = run_cli(capsys, "estimate", path, "--x", "x", "--y", "y",
+                                 "--strategy", strategy)
+        assert code == 0 and err == ""
+        assert json.loads(out)["bins"] == [4, 4]
+
 
 class TestGaussian:
     def test_scalar_closed_form(self, capsys, tmp_path):
@@ -374,3 +422,60 @@ class TestOracle:
         report = json.loads(out)
         assert report["oracle"] == 0.0
         assert report["spectral"] == 0.0
+
+
+class TestArguments:
+    """Options are read by their handler, and usage errors are error objects."""
+
+    def test_every_option_is_read_by_its_handler(self):
+        parser = cli._build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == {
+            "compute", "estimate", "gaussian", "transforms", "oracle"
+        }
+        for name, sub in subparsers.choices.items():
+            source = inspect.getsource(sub.get_default("handler"))
+            dests = [
+                a.dest for a in sub._actions
+                if not isinstance(a, argparse._HelpAction) and a.dest != "format"
+            ]
+            unread = [d for d in dests if not re.search(rf"\bargs\.{d}\b", source)]
+            assert unread == [], name
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "{path}", "--max-order", "abc"],
+             "depscale compute: argument --max-order: invalid int value: 'abc'"),
+            (["compute", "{path}", "--seed", "1"],
+             "depscale: unrecognized arguments: --seed 1"),
+            (["estimate", "{path}", "--x", "x", "--y", "y", "--seed", "0"],
+             "depscale: unrecognized arguments: --seed 0"),
+            (["gaussian", "{path}", "--dim-x", "1", "--tol", "1e-3"],
+             "depscale: unrecognized arguments: --tol 1e-3"),
+            (["compute", "{path}", "--format", "xml"],
+             "depscale compute: argument --format: invalid choice: 'xml'"),
+            (["compute"], "depscale compute: the following arguments are required: joint"),
+            ([], "depscale: the following arguments are required: command"),
+        ],
+        ids=["bad-int", "compute-seed", "estimate-seed", "gaussian-tol", "bad-choice",
+             "missing-path", "no-subcommand"],
+    )
+    def test_usage_errors_are_structured(self, capsys, tmp_path, argv, message):
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert (error["schema"], error["error"]) == ("v1", "InvalidArgument")
+        # Exact up to the wording of the choices, which varies across Pythons.
+        assert error["message"].startswith(message)
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compute", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: depscale compute")
+        assert "--seed" not in out and "--tol" in out

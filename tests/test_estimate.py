@@ -1,5 +1,6 @@
 """Binning, plug-in estimation, and the analytic Gaussian discretization."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -119,25 +120,26 @@ class TestEstimateProfile:
         x = rng.standard_normal(4000)
         y = x + 0.5 * rng.standard_normal(4000)
         s = SampleTable(x, y)
-        est = profile_of_joint(empirical_joint(s, BinningSpec()), s.n, 2)
+        est = profile_of_joint(empirical_joint(s, BinningSpec()), s.n)
         assert est.n == 4000
-        assert est.bins == (8, 8)
+        assert (est.joint.n_x, est.joint.n_y) == (8, 8)
         assert not est.bias_warning  # 4000 >= 10 * 64
-        d = est.profile.d
-        assert abs(d[0] - est.profile.r**2) <= 1e-10
+        profile = est.spectrum.profile(2)
+        d = profile.d
+        assert abs(d[0] - profile.r**2) <= 1e-10
         assert np.all(np.diff(d) <= 1e-10)
 
     def test_bias_warning_on_small_samples(self):
         rng = np.random.default_rng(54)
         s = SampleTable(rng.standard_normal(100), rng.standard_normal(100))
-        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=8, bins_y=8)), s.n, 0)
+        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=8, bins_y=8)), s.n)
         assert est.bias_warning
 
     def test_identity_pair_reaches_one(self):
         u = np.linspace(0.0, 1.0, 64)
         s = SampleTable(u, u)
-        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=4, bins_y=4)), s.n, 0)
-        assert_allclose(est.profile.d[0], 1.0)
+        est = profile_of_joint(empirical_joint(s, BinningSpec(bins_x=4, bins_y=4)), s.n)
+        assert_allclose(est.spectrum.profile(0).d[0], 1.0)
 
 
 class TestGroupedColumns:
@@ -217,8 +219,45 @@ class TestGaussianQuantileJoint:
         assert_allclose(j.p_x, np.full(4, 0.25), atol=1e-12)
 
 
+def _reference_interval_labels(edges, occupied, bins):
+    """Merged-bin labels by searching an owner for every bin, then collecting
+    each occupied bin's interval (the search-based original)."""
+    # owner[b] = occupied bin absorbing original bin b (nearest index, tie left).
+    pos = np.searchsorted(occupied, np.arange(bins))
+    pos = np.clip(pos, 0, occupied.size - 1)
+    left = occupied[np.clip(pos - 1, 0, occupied.size - 1)]
+    right = occupied[pos]
+    dist_left = np.abs(np.arange(bins) - left)
+    dist_right = np.abs(right - np.arange(bins))
+    owner = np.where(dist_left <= dist_right, left, right)
+    owner[occupied] = occupied
+    bounds = np.concatenate([[-np.inf], edges, [np.inf]])
+    labels = []
+    for b in occupied:
+        mine = np.nonzero(owner == b)[0]
+        lo, hi = bounds[mine.min()], bounds[mine.max() + 1]
+        labels.append(f"[{lo:.6g}, {hi:.6g})")
+    return labels
+
+
+def test_merged_labels_match_the_owner_search_on_every_occupancy():
+    # Every set of at least two occupied bins out of 2..10 bins: 1981 patterns.
+    patterns = 0
+    for bins in range(2, 11):
+        edges = np.cumsum(np.linspace(0.5, 1.5, bins - 1)) - 3.0
+        for size in range(2, bins + 1):
+            for occupied in itertools.combinations(range(bins), size):
+                occupied = np.array(occupied)
+                assert _merged_interval_labels(edges, occupied, bins) == (
+                    _reference_interval_labels(edges, occupied, bins)
+                ), (bins, occupied)
+                patterns += 1
+    assert patterns == 1981
+
+
 def _reference_bin_column(values, bins, strategy):
-    """``bin_column`` as it was written before ``bincount``: sort, then unique."""
+    """``bin_column`` as it was written before ``bincount``: sort, then unique,
+    then the owner search for labels."""
     if strategy == "categorical" or values.dtype == object:
         atoms, codes = np.unique(values.astype(str) if values.dtype == object else values,
                                  return_inverse=True)
@@ -235,7 +274,7 @@ def _reference_bin_column(values, bins, strategy):
         return _reference_bin_column(values, bins, "categorical")
     remap = np.full(bins, -1)
     remap[occupied] = np.arange(occupied.size)
-    return remap[codes], _merged_interval_labels(edges, occupied, bins)
+    return remap[codes], _reference_interval_labels(edges, occupied, bins)
 
 
 def _reference_grouped(x, ys, spec):

@@ -29,6 +29,7 @@ from depscale import (
     normalized_matrix,
     singular_spectrum,
 )
+from depscale.spectral import _batch_adjugate
 
 FIXTURE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -210,6 +211,44 @@ def test_oracle_is_seed_reproducible():
     a = gram_det_oracle(j, 0, restarts=4, seed=5)
     b = gram_det_oracle(j, 0, restarts=4, seed=5)
     assert a == b
+
+
+class TestBatchAdjugate:
+    """The oracle's gradient needs adj(S), which stays finite at det S = 0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_invertible_stacks_match_det_times_inverse(self, k):
+        rng = np.random.default_rng(60 + k)
+        s = rng.standard_normal((50, k, k))
+        want = np.linalg.det(s)[:, None, None] * np.linalg.inv(s)
+        assert_allclose(_batch_adjugate(s), want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rank_deficient_stacks(self, k):
+        rng = np.random.default_rng(70 + k)
+        for rank in range(k):
+            a = rng.standard_normal((30, k, rank))
+            s = a @ rng.standard_normal((30, rank, k))
+            adj = _batch_adjugate(s)
+            # S adj(S) = adj(S) S = det(S) I = 0.
+            assert_allclose(s @ adj, 0.0, atol=1e-10)
+            assert_allclose(adj @ s, 0.0, atol=1e-10)
+            # adj(S) has rank 1 at rank k - 1 and vanishes below.
+            ranks = np.linalg.matrix_rank(adj, tol=1e-8)
+            assert np.all(ranks == (1 if rank == k - 1 else 0))
+
+    def test_one_by_one_gives_exact_ones(self):
+        s = np.array([[[0.0]], [[2.5]], [[-1e-300]], [[7.0]]])
+        adj = _batch_adjugate(s)
+        assert adj.shape == s.shape
+        assert np.array_equal(adj, np.ones_like(s))
+
+    def test_symmetric_stack_gives_symmetric_adjugate(self):
+        rng = np.random.default_rng(80)
+        b = rng.standard_normal((20, 6, 3))
+        s = np.swapaxes(b, 1, 2) @ b
+        adj = _batch_adjugate(s)
+        assert_allclose(adj, np.swapaxes(adj, 1, 2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,29 @@ class TestCompleteness:
             assert abs(w @ j.p_x) <= 1e-9
             assert abs(((w - w @ j.p_x) ** 2) @ j.p_x - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "case",
+        ["one-extra-x-atom", "finite-rank-square", "finite-rank-wide"],
+    )
+    def test_witness_on_incomplete_shapes(self, case):
+        # |X| = |Y| + 1 is the tallest shape whose joined SVD is square;
+        # finite-rank joints with |X| <= |Y| are incomplete only through
+        # vanishing singular values.
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            if case == "one-extra-x-atom":
+                j = random_joint(rng, n + 1, n)
+            else:
+                n_y = n + 1 if case == "finite-rank-square" else n + 3
+                j = random_finite_rank(rng, int(rng.integers(0, n)), n + 1, n_y)
+            res = check_completeness(j)
+            assert not res.complete
+            w = res.witness.values
+            assert abs(w @ j.p_x) <= 1e-9
+            assert abs((w**2) @ j.p_x - 1.0) <= 1e-9
+            assert image_variance(j, w) <= 1e-12
+
     def test_random_square_joints_are_complete(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
