@@ -8,17 +8,18 @@ point of the alternation
     phi  <-  standardize( E{psi(Y) | X} )
 
 with exact conditional expectations read off the joint table (nothing is
-sampled).  Each full sweep multiplies the off-optimum components by the
-squared ratio of singular values, so the achieved correlation ascends
-monotonically to sigma_1.  The block version iterates a frame of functions
-and re-orthonormalizes under the X-marginal inner product every sweep,
-yielding the leading k pairs at once.
+sampled).  A sweep applies phi -> E{E{phi|Y}|X}, whose eigenvalues are the
+squared singular values, so the alternation is subspace iteration.  It runs
+on k + 8 functions (at most the n_x - 1 mean-zero ones), so pair i converges
+at rate (sigma_{k+9}/sigma_i)^2 rather than (sigma_{k+1}/sigma_k)^2 (Halko,
+Martinsson and Tropp 2011), and applies Rayleigh-Ritz every sweep (Saad
+2011, ch. 5).  It stops on the residual ||E{psi_i|X} - rho_i phi_i||, which
+bounds the error of rho_i.  No SVD of the normalized table is taken.
 
 Results are reported rather than raised: a joint with no nontrivial pair
 (independence) comes back flagged ``degenerate`` with rho = 0, and an
-alternation that used up its iteration budget (the signature of a near-tie
-sigma_1 ~ sigma_2) comes back flagged ``converged=False`` with the last
-iterate.
+iteration that used up its sweep budget comes back flagged
+``converged=False`` with the last iterate.
 """
 
 from __future__ import annotations
@@ -27,10 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joints import DiscreteJoint, FunctionTable
+from .joints import DiscreteJoint, FunctionTable, check_tol
 
 #: Variance below which an image is treated as constant (degenerate path).
 _DEGENERATE_VAR = 1e-24
+
+#: Functions iterated beyond the k requested (capped at n_x - 1).
+_OVERSAMPLE = 8
+
+#: Smallest residual asked for: roundoff keeps a residual from reaching 0,
+#: so a smaller tol (tol = 0 included) is raised to this level.
+_MIN_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,8 @@ class TransformPair:
     """A standardized transform pair and its achieved correlation.
 
     ``rho`` is corr(phi(X), psi(Y)) under the joint.  ``n_iter`` counts full
-    sweeps; ``trace`` records the achieved correlation after each sweep
-    (monotone non-decreasing up to roundoff).
+    sweeps; ``trace`` records the top Ritz value after each sweep (monotone
+    non-decreasing up to roundoff).
     """
 
     phi: FunctionTable
@@ -69,9 +77,10 @@ def ace_pair(
 ) -> TransformPair:
     """Leading transform pair of ``j`` by alternating conditional expectations.
 
-    Stops when the achieved correlation changes by at most ``tol`` between
-    sweeps.  The returned pair is sign-normalized: rho >= 0 and the first
-    nonvanishing entry of phi is positive.
+    :func:`ace_subspace` with k = 1: stops when the pair's residual
+    ||E{psi|X} - rho phi|| is at most ``tol``.  The returned pair is
+    sign-normalized: rho >= 0 and the first nonvanishing entry of phi is
+    positive.
     """
     pairs = ace_subspace(j, 1, tol=tol, max_iter=max_iter, seed=seed)
     return pairs[0]
@@ -84,66 +93,58 @@ def ace_subspace(
     max_iter: int = 10_000,
     seed: int = 0,
 ) -> list[TransformPair]:
-    """Leading ``k`` transform pairs by block alternation.
+    """Leading ``k`` transform pairs by oversampled subspace iteration.
 
-    Runs the alternation on a frame of k functions of X, re-orthonormalized
-    under the X-marginal inner product after every sweep, then rotates the
-    converged frame so the achieved correlations come out individually
-    extremal and descending.  Pairs beyond the joint's nontrivial rank are
-    flagged degenerate with rho = 0.
+    Iterates min(k + 8, n_x - 1) functions of X, orthonormal under the
+    X-marginal.  Each sweep rotates them by Rayleigh-Ritz so the correlations
+    come out individually extremal and descending, and stops once every
+    leading pair that is not degenerate has residual
+    ||E{psi_i|X} - rho_i phi_i|| <= ``tol`` (finite and >= 0; below 64
+    machine epsilons, tol = 0 included, it is raised to that roundoff level).
+    Pairs beyond the joint's nontrivial rank are flagged degenerate, rho = 0.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    check_tol(tol)
     p_x, p_y = j.p_x, j.p_y
     # Conditional expectation operators as plain matrices:
     # (E{phi|Y})(y) = sum_x phi(x) P(x,y)/p_y(y), and symmetrically.
     to_y = j.probs / p_y[None, :]
     to_x = j.probs / p_x[:, None]
 
-    # Only n_x - 1 mean-zero directions exist on X; anything asked beyond
-    # that is padded with degenerate pairs after the iteration.
-    k_eff = min(k, max(j.n_x - 1, 1))
-
+    # Only n_x - 1 mean-zero directions exist on X: the block is capped
+    # there, and pairs asked beyond them are padded with degenerate ones.
+    directions = max(j.n_x - 1, 1)
+    k_eff = min(k, directions)
+    b = min(k_eff + _OVERSAMPLE, directions)
     rng = np.random.default_rng(seed)
-    F = _orthonormal_frame(rng.standard_normal((j.n_x, k_eff)), p_x)
+    F = _orthonormal_frame(rng.standard_normal((j.n_x, b)), p_x)
 
-    rho_prev = np.full(k_eff, -1.0)
-    delta_prev = np.inf
-    q_run = 0.0
     trace: list[float] = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        Psi = F.T @ to_y  # images on Y, one row per function
-        Psi = np.stack([_standardize(row, p_y)[0] for row in Psi], axis=0)
-        F = to_x @ Psi.T  # back-images on X
-        F = _orthonormal_frame(F, p_x)
-        rho = np.einsum("xk,xy,ky->k", F, j.probs, Psi)
-        trace.append(float(np.max(np.abs(rho))))
-        # Per-sweep gains decay geometrically with ratio q = (s2/s1)^2, and
-        # the increment ratios climb monotonically toward q, so a running
-        # max of measured ratios never understates the contraction for long.
-        # Stopping needs the raw increment AND the geometric tail estimate
-        # delta * q / (1 - q) under tol, which keeps the final rho within
-        # ~tol of the fixed point whenever the spectral gap is not tiny.
-        delta = float(np.max(np.abs(np.abs(rho) - np.abs(rho_prev))))
-        if np.isfinite(delta_prev) and delta_prev > 0.0:
-            q_run = max(q_run, delta / delta_prev)
-        q_run = min(q_run, 0.999)
-        if sweeps >= 2 and delta <= tol and delta * q_run / (1.0 - q_run) <= tol:
+        # Rayleigh-Ritz: diagonalize the covariance of the centred images
+        # G = E{F|Y} and rotate so the Ritz values rho^2 descend.
+        G = F.T @ to_y
+        G -= (G @ p_y)[:, None]
+        C = (G * p_y[None, :]) @ G.T
+        V = np.linalg.eigh((C + C.T) / 2.0)[1][:, ::-1]
+        F, G = F @ V, V.T @ G
+        # Read as variances of the rotated images, not as eigenvalues of C,
+        # the Ritz values of null directions stay below the degenerate floor.
+        rho2 = (G**2) @ p_y
+        trace.append(float(np.sqrt(rho2[0])))
+        back = to_x @ G.T  # E{G|X}
+        # With psi_i = G_i / rho_i, the residual E{psi_i|X} - rho_i phi_i is
+        # (back_i - rho_i^2 phi_i) / rho_i; compare it to tol without dividing.
+        lead = rho2[:k_eff]
+        res = np.sqrt(((back[:, :k_eff] - F[:, :k_eff] * lead) ** 2).T @ p_x)
+        live = lead > _DEGENERATE_VAR
+        if np.all(res[live] <= max(tol, _MIN_TOL) * np.sqrt(lead[live])):
             converged = True
             break
-        rho_prev = rho
-        delta_prev = delta
-
-    # Rayleigh-Ritz rotation: diagonalize the image covariance on the final
-    # frame so each returned function is individually extremal.
-    Psi = F.T @ to_y
-    mu = Psi @ p_y
-    C = (Psi * p_y[None, :]) @ Psi.T - np.outer(mu, mu)
-    w, V = np.linalg.eigh((C + C.T) / 2.0)
-    order = np.argsort(w)[::-1]
-    F = F @ V[:, order]
+        F = _orthonormal_frame(back, p_x)
 
     out: list[TransformPair] = []
     for i in range(k_eff):

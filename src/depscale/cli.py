@@ -196,7 +196,7 @@ def _cmd_transforms(args: argparse.Namespace) -> dict[str, Any]:
     if stuck:
         raise NonConvergenceError(
             f"{len(stuck)} transform pair(s) did not converge within "
-            f"{args.max_iter} sweeps (near-tied leading correlations)"
+            f"{args.max_iter} sweeps (residual above tol {args.tol!r})"
         )
     return {
         "schema": SCHEMA,

@@ -10,10 +10,10 @@ whose largest eigenvalue is the squared leading canonical correlation:
 R = sqrt(lambda_max), D = R^2 = lambda_max.  Scalar blocks short-circuit to
 |v12| / sqrt(v11 * v22) so the 1x1 case is exact, not merely close.
 
-Inverse square roots go through a symmetric eigendecomposition with a hard
-eigenvalue floor: blocks that fail it are rejected outright rather than
-pseudo-inverted, because a silently regularized answer would not be the
-quantity named above.
+Inverse square roots go through a symmetric eigendecomposition.  No floor is
+needed here: :class:`~depscale.joints.GaussianJoint` already rejects a block
+with an eigenvalue at or below 1e-12 rather than pseudo-inverting it, because
+a silently regularized answer would not be the quantity named above.
 """
 
 from __future__ import annotations
@@ -25,25 +25,12 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, NotScalarError
 from .joints import GaussianJoint
 
-_EIG_FLOOR = 1e-12
-
-
-def _spd_eigh(block: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetrized block, rejecting near-singular blocks."""
-    w, v = np.linalg.eigh((block + block.T) / 2.0)
-    if np.min(w) <= _EIG_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"{name} has eigenvalue {float(np.min(w))!r} at or below the {_EIG_FLOOR} floor"
-        )
-    return w, v
-
-
 def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
     if g.is_scalar:
         return gaussian_r(g) ** 2
-    wx, vx = _spd_eigh(g.v11, "v11")
-    wy, vy = _spd_eigh(g.v22, "v22")
+    wx, vx = np.linalg.eigh((g.v11 + g.v11.T) / 2.0)
+    wy, vy = np.linalg.eigh((g.v22 + g.v22.T) / 2.0)
     isq = (vx / np.sqrt(wx)) @ vx.T
     sigma = isq @ g.v12 @ ((vy / wy) @ vy.T) @ g.v12.T @ isq
     w = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)

@@ -33,6 +33,12 @@ from .errors import (
 INPUT_MASS_TOL = 1e-9
 
 
+def check_tol(tol: float) -> None:
+    """Reject a numerical tolerance that is negative or not finite."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {float(tol)!r}")
+
+
 def _frozen_array(a: np.ndarray, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import DiscreteJoint, _frozen_array, conditional_matrix
+from .joints import DiscreteJoint, _frozen_array, check_tol, conditional_matrix
 
 #: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
 SPECTRUM_SLACK = 1e-10
@@ -100,7 +100,9 @@ class SingularSpectrum:
 
         The conditional images span this many directions beyond constants,
         and d[m] vanishes from this m on.  At most min(|X|, |Y|) - 1.
+        ``tol`` must be finite and nonnegative (checked here for all three).
         """
+        check_tol(tol)
         below = np.flatnonzero(self.sigma <= tol)
         return int(below[0]) if below.size else int(self.sigma.size)
 
@@ -233,10 +235,12 @@ def gram_det_oracle(
 
     Returns the best objective seen.  Raises
     :class:`~depscale.errors.NonConvergenceError` if no restart reaches the
-    gradient tolerance.
+    gradient tolerance, and ``ValueError`` if ``tol`` is negative or not
+    finite.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    check_tol(tol)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     n_x = j.n_x

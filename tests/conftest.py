@@ -75,6 +75,24 @@ def random_finite_rank(
     return make_finite_rank_joint(p_x, components, p_y)
 
 
+def hadamard_joint(rng: np.random.Generator, n: int, top: np.ndarray) -> DiscreteJoint:
+    """An n x n joint (n a power of 2) with uniform marginals and normalized
+    spectrum ``top`` followed by a geometric tail from 4e-4 down to 1e-6.
+
+    The singular vectors are randomly chosen and permuted columns of a
+    Sylvester-Hadamard matrix, so they are +-1 tables orthogonal to the
+    constants; cells stay positive while the spectrum sums to below 1.  A
+    near-tied ``top`` is the slow case for iterating exactly k functions.
+    """
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    sigma = np.concatenate([top, np.geomspace(4e-4, 1e-6, n - 1 - top.size)])
+    f = h[rng.permutation(n)][:, 1 + rng.permutation(n - 1)]
+    g = h[rng.permutation(n)][:, 1 + rng.permutation(n - 1)]
+    return make_joint((1.0 + (f * sigma) @ g.T) / (n * n))
+
+
 def random_partition(rng: np.random.Generator, n_cols: int) -> list[list[int]]:
     """A random set partition of column indices with no empty groups."""
     g = int(rng.integers(1, n_cols + 1))

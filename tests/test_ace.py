@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_finite_rank, random_joint
+from conftest import hadamard_joint, random_finite_rank, random_joint
 from depscale import (
     ace_pair,
     ace_subspace,
     conditional_matrix,
+    gram_det_oracle,
     make_joint,
     maximal_correlation,
     singular_spectrum,
@@ -109,6 +110,90 @@ def test_agreement_holds_on_engineered_narrow_gaps():
             j = random_finite_rank(rng, 2, 5, 5, sigma=np.array([s1, s1 * (1 - gap)]))
             p = ace_pair(j, tol=tol)
             assert abs(p.rho - maximal_correlation(j)) <= 10 * tol
+
+
+def residuals(j, pairs):
+    """||E{psi|X} - rho phi|| under the X-marginal, one per pair."""
+    to_x = j.probs / j.p_x[:, None]
+    return np.array([
+        np.sqrt(((to_x @ p.psi.values - p.rho * p.phi.values) ** 2) @ j.p_x)
+        for p in pairs
+    ])
+
+
+def assert_matches_spectrum(j, pairs, atol=1e-12):
+    sigma = singular_spectrum(j).sigma
+    assert all(p.converged and not p.degenerate for p in pairs)
+    assert_allclose([p.rho for p in pairs], sigma[: len(pairs)], rtol=0, atol=atol)
+
+
+class TestOversampledIteration:
+    def test_near_tied_hadamard_spectrum(self):
+        # Leading values 0.993 apart: k functions alone converge at rate
+        # 0.993^2 per sweep, the oversampled block in a few sweeps.
+        top = 0.12 * 0.993 ** np.arange(8)
+        for seed in range(3):
+            j = hadamard_joint(np.random.default_rng(seed), 64, top)
+            pairs = ace_subspace(j, 4, max_iter=50)
+            assert_matches_spectrum(j, pairs)
+
+    def test_dirichlet_draw_converges_within_200_sweeps(self):
+        j = random_joint(np.random.default_rng(5), 64, 64)
+        pairs = ace_subspace(j, 4, max_iter=200)
+        assert_matches_spectrum(j, pairs)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_returned_pairs_meet_the_residual_bound(self, tol):
+        rng = np.random.default_rng(28)
+        for _ in range(5):
+            j = random_joint(rng, 24, 20)
+            pairs = ace_subspace(j, 3, tol=tol)
+            assert all(p.converged for p in pairs)
+            # The stop reads the rotated block; the returned tables are
+            # recomputed from it, which moves the residual by roundoff.
+            assert np.all(residuals(j, pairs) <= tol + 1e-14)
+
+    def test_k_at_the_block_cap(self):
+        rng = np.random.default_rng(29)
+        for n_x, n_y in ((6, 8), (12, 12), (30, 9)):
+            j = random_joint(rng, n_x, n_y)
+            k = n_x - 1
+            pairs = ace_subspace(j, k, tol=1e-12)
+            assert len(pairs) == k
+            m = min(n_x, n_y) - 1
+            assert_matches_spectrum(j, pairs[:m])
+            assert all(p.degenerate for p in pairs[m:])
+
+    def test_exact_tie_inside_the_block(self):
+        # sigma_2 = sigma_3: the second pair is any unit function of a
+        # two-dimensional eigenspace, but its correlation is still sigma_2.
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            j = random_finite_rank(rng, 4, 16, 16, sigma=np.array([0.9, 0.6, 0.6, 0.3]))
+            sigma = singular_spectrum(j).sigma
+            assert sigma[1] - sigma[2] <= 1e-15
+            pairs = ace_subspace(j, 2, tol=1e-12)
+            assert_matches_spectrum(j, pairs)
+            assert np.all(residuals(j, pairs) <= 1e-12 + 1e-14)
+
+    def test_zero_tol_stops_at_roundoff(self):
+        # No residual is exactly 0 in floating point; tol = 0 asks for the
+        # roundoff level rather than running out the sweep budget.
+        rng = np.random.default_rng(31)
+        joints = [make_joint(FIXTURE), random_joint(rng, 16, 16), random_joint(rng, 40, 7),
+                  hadamard_joint(rng, 64, 0.12 * 0.993 ** np.arange(8))]
+        for j in joints:
+            pairs = ace_subspace(j, 4, tol=0.0, max_iter=500)
+            m = min(4, min(j.n_x, j.n_y) - 1)
+            assert_matches_spectrum(j, pairs[:m])
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_invalid_tolerance_is_rejected(self, tol):
+        j = make_joint(FIXTURE)
+        with pytest.raises(ValueError, match="tol"):
+            ace_subspace(j, 1, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            gram_det_oracle(j, 0, tol=tol)
 
 
 class TestSubspace:

@@ -399,10 +399,21 @@ class TestTransforms:
         assert pair["rho"] == 0.0
 
     def test_exhausted_sweep_budget_is_a_numerical_failure(self, capsys, tmp_path):
-        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        # The iterated block spans every mean-zero function of a table with
+        # at most 9 rows, which then converges in one sweep; a 16 x 16 table
+        # needs several.
+        j = random_joint(np.random.default_rng(0), 16, 16)
+        path = write_table(tmp_path, "j.csv", j.probs)
         code, out, err = run_cli(capsys, "transforms", path, "--max-iter", "1")
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "NonConvergence"
+
+    def test_rho_matches_the_spectrum_on_every_fixture(self, capsys, tmp_path):
+        for name, text in (("fixture", FIXTURE_CSV), ("weak", WEAK_CSV)):
+            path = write(tmp_path, f"{name}.csv", text)
+            _, out, _ = run_cli(capsys, "transforms", path)
+            sigma = singular_spectrum(make_joint(np.loadtxt(path, delimiter=",", ndmin=2))).sigma
+            assert abs(json.loads(out)["pairs"][0]["rho"] - sigma[0]) <= 1e-12, name
 
 
 class TestOracle:
@@ -426,6 +437,16 @@ class TestOracle:
 
 class TestArguments:
     """Options are read by their handler, and usage errors are error objects."""
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["compute", "transforms", "oracle"])
+    def test_invalid_tolerance_is_an_invalid_argument(self, capsys, tmp_path, command, tol):
+        path = write(tmp_path, "j.csv", INDEPENDENT_CSV)
+        code, out, err = run_cli(capsys, command, path, f"--tol={tol}")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidArgument"
+        assert "tol must be finite and >= 0" in error["message"]
 
     def test_every_option_is_read_by_its_handler(self):
         parser = cli._build_parser()

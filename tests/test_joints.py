@@ -229,6 +229,12 @@ class TestGaussianJoint:
         with pytest.raises(NotPositiveDefiniteError):
             GaussianJoint(v11=[[0.0]], v12=[[0.0]], v22=[[1.0]])
 
+    def test_rejects_near_singular_block(self):
+        # lambda_max relies on this floor: it inverts the blocks unchecked.
+        v11 = np.diag([1.0, 1e-13])
+        with pytest.raises(NotPositiveDefiniteError, match="1e-12 floor"):
+            GaussianJoint(v11=v11, v12=np.zeros((2, 1)), v22=[[1.0]])
+
     def test_rejects_cross_block_breaking_psd(self):
         # |v12| > sqrt(v11 v22) cannot come from any distribution
         with pytest.raises(NotPositiveDefiniteError):

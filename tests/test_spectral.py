@@ -90,6 +90,19 @@ class TestSingularSpectrumValidation:
         with pytest.raises(SvdFailureError):
             SingularSpectrum(sigma0=1.0, sigma=np.array([0.2, 0.8]), shape=(3, 3))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_tolerance_methods_reject_a_bad_tol(self, tol):
+        # Independent table: a negative or NaN tol would count sigma = [0]
+        # as nonzero and call the joint complete.
+        s = singular_spectrum(make_joint([[0.25, 0.25], [0.25, 0.25]]))
+        for method in (s.order, s.complete, lambda tol: s.profile(None, tol)):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                method(tol)
+
+    def test_zero_tol_is_accepted(self):
+        s = singular_spectrum(make_joint(FIXTURE))
+        assert s.order(0.0) == 1 and s.complete(0.0)
+
 
 def dependence_index(j):
     return singular_spectrum(j).r ** 2
