@@ -102,9 +102,12 @@ def ace_subspace(
     ||E{psi_i|X} - rho_i phi_i|| <= ``tol`` (finite and >= 0; below 64
     machine epsilons, tol = 0 included, it is raised to that roundoff level).
     Pairs beyond the joint's nontrivial rank are flagged degenerate, rho = 0.
+    ``max_iter`` (the sweep budget) must be at least 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_tol(tol)
     p_x, p_y = j.p_x, j.p_y
     # Conditional expectation operators as plain matrices:

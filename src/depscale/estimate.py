@@ -14,12 +14,10 @@ are available per column:
 ``categorical``
     One atom per distinct observed value; bin counts are ignored.
 
-Bins that receive no samples are merged into their nearest nonempty
-neighbor (nearest by bin index, ties toward the left): the merged bin's
-label absorbs the empty interval, so the atom alphabet is exactly the
-nonempty bins and nothing is dropped silently.  A column that quantile or
-uniform binning cannot split (constant, or collapsed by ties) falls back to
-categorical.
+Bins that receive no samples are dropped: the atom alphabet is exactly the
+nonempty bins, numbered in order, and an atom is its index (no interval or
+value labels are kept).  A column that quantile or uniform binning cannot
+split (constant, or collapsed by ties) falls back to categorical.
 
 Plug-in estimates are biased upward for small samples; reports carry an
 explicit flag once n < 10 * |X| * |Y|.
@@ -77,7 +75,7 @@ class ProfileEstimate:
     """A plug-in joint of ``n`` samples with its spectrum.
 
     The profile is ``spectrum.profile(max_order, tol)``; the achieved
-    alphabet sizes after empty-bin merging and categorical fallbacks are
+    alphabet sizes after dropping empty bins and categorical fallbacks are
     ``joint.n_x`` and ``joint.n_y``.
     """
 
@@ -92,17 +90,19 @@ class ProfileEstimate:
         return self.n < 10 * self.joint.n_x * self.joint.n_y
 
 
-def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> tuple[np.ndarray, list[str]]:
-    """Discretize one column; returns (codes, atom labels).
+def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
+    """Discretize one column into dense codes.
 
-    Codes are dense in 0..k-1 with every atom occupied.  Numeric strategies
-    fall back to categorical when the edges collapse, and raise
-    ``FloatingPointError`` when computing the edges overflows.
+    Codes are dense in 0..k-1 with every atom occupied, so the alphabet size
+    is ``codes.max() + 1``; empty bins are dropped and the occupied ones keep
+    their order.  Categorical codes number the distinct values in sorted
+    order.  Numeric strategies fall back to categorical when the edges
+    collapse, and raise ``FloatingPointError`` when computing the edges
+    overflows.
     """
     if strategy == "categorical" or values.dtype == object:
-        atoms, codes = np.unique(values.astype(str) if values.dtype == object else values,
-                                 return_inverse=True)
-        return codes, [str(a) for a in atoms]
+        return np.unique(values.astype(str) if values.dtype == object else values,
+                         return_inverse=True)[1]
     col = values.astype(float)
     with np.errstate(over="raise", invalid="raise"):
         if strategy == "quantile":
@@ -119,21 +119,7 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> tuple[np.nd
         return bin_column(values, bins, "categorical")
     remap = np.full(bins, -1)
     remap[occupied] = np.arange(occupied.size)
-    labels = _merged_interval_labels(edges, occupied, bins)
-    return remap[codes], labels
-
-
-def _merged_interval_labels(edges: np.ndarray, occupied: np.ndarray, bins: int) -> list[str]:
-    """Interval labels where empty bins are absorbed by the nearest occupied one.
-
-    The empty bins between occupied bins o_i < o_{i+1} split at
-    (o_i + o_{i+1}) // 2 + 1, ties going left; bins outside the occupied
-    range go to the nearest end.
-    """
-    splits = (occupied[:-1] + occupied[1:]) // 2 + 1
-    bounds = np.concatenate([[-np.inf], edges, [np.inf]])
-    cuts = bounds[np.concatenate([[0], splits, [bins]])]
-    return [f"[{lo:.6g}, {hi:.6g})" for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return remap[codes]
 
 
 def empirical_joint(sample: SampleTable, spec: BinningSpec) -> DiscreteJoint:
@@ -163,37 +149,25 @@ def empirical_joint_grouped(
             raise InvalidDistributionError(
                 f"sample column {name!r}: {spec.strategy} bin edges overflow a float"
             ) from None
-    (codes_x, labels_x), *parts = parts
-    codes_y, labels_y = _product_codes(parts)
-    n_x, n_y = len(labels_x), len(labels_y)
+    codes_x, *parts = parts
+    codes_y = _product_codes(parts)
+    n_x, n_y = int(codes_x.max()) + 1, int(codes_y.max()) + 1
     counts = np.bincount(codes_x * n_y + codes_y, minlength=n_x * n_y).reshape(n_x, n_y)
-    return DiscreteJoint(
-        counts / n, labels_x=tuple(labels_x), labels_y=tuple(labels_y)
-    )
+    return DiscreteJoint(counts / n)
 
 
-def _product_codes(
-    parts: Sequence[tuple[np.ndarray, list[str]]],
-) -> tuple[np.ndarray, list[str]]:
-    """Dense codes and labels of the observed tuples of several binned columns.
+def _product_codes(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense codes of the observed tuples of several binned columns.
 
     Tuples are numbered in lexicographic order, first column most
     significant (the order of ``np.unique(axis=0)``).  The code is
     re-densified after each column, so it stays below the sample count and
     no array is sized by the product of the alphabets.
     """
-    code, labels = parts[0]
-    # combos[d][t] is column d's code in tuple t.
-    combos = [np.arange(len(labels))]
-    for col, col_labels in parts[1:]:
-        k = len(col_labels)
-        used, code = np.unique(code * k + col, return_inverse=True)
-        combos = [c[used // k] for c in combos] + [used % k]
-    labels = [
-        "&".join(part[1][i] for part, i in zip(parts, combo))
-        for combo in zip(*combos)
-    ]
-    return code, labels
+    code = parts[0]
+    for col in parts[1:]:
+        code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)[1]
+    return code
 
 
 def profile_of_joint(joint: DiscreteJoint, n: int) -> ProfileEstimate:
@@ -248,8 +222,4 @@ def gaussian_quantile_joint(
     masses = cdf[:, :, 1:] - cdf[:, :, :-1]
     table = np.einsum("q,iqj->ij", weights * half, masses)
     table = np.clip(table, 0.0, None)
-    table = table / table.sum()
-    edges_x = np.concatenate([[-np.inf], ndtri(starts[1:]), [np.inf]])
-    labels_x = [f"[{edges_x[i]:.6g}, {edges_x[i+1]:.6g})" for i in range(bins_x)]
-    labels_y = [f"[{edges_y[j]:.6g}, {edges_y[j+1]:.6g})" for j in range(bins_y)]
-    return DiscreteJoint(table, labels_x=tuple(labels_x), labels_y=tuple(labels_y))
+    return DiscreteJoint(table / table.sum())

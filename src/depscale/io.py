@@ -101,28 +101,25 @@ def _no_header(row: list[str]) -> bool:
 def load_joint_csv(path: str | Path) -> DiscreteJoint:
     """Read a joint pmf table: rows are X atoms, columns are Y atoms.
 
-    An optional header row and/or leading label column are auto-detected by
-    their non-numeric cells.  Every remaining cell must parse as a number;
-    validation and renormalization happen in :func:`depscale.joints.make_joint`.
+    An optional header row and/or leading label column are detected by their
+    non-numeric cells and skipped: an atom is its row or column index.  Every
+    remaining cell must parse as a number; validation and renormalization
+    happen in :func:`depscale.joints.make_joint`.
     """
     grid = _read_grid(path, _joint_header)
     if grid is not None:
-        names, probs = grid
-        return make_joint(probs, labels_y=names)
+        return make_joint(grid[1])
     rows = _read_rows(path)
-    header = _joint_header(rows[0])
-    body = rows[1:] if header else rows
+    body = rows[1:] if _joint_header(rows[0]) else rows
     if not body:
         raise FormatError(f"{path} has a header but no data rows")
-    label_col = any(not _is_number(r[0]) for r in body)
-    labels_y = rows[0][1:] if header and label_col else (rows[0] if header else None)
-    labels_x = [r[0] for r in body] if label_col else None
-    data_rows = [r[1:] for r in body] if label_col else body
+    if any(not _is_number(r[0]) for r in body):
+        body = [r[1:] for r in body]
     try:
-        probs = np.array([[float(c) for c in r] for r in data_rows])
+        probs = np.array([[float(c) for c in r] for r in body])
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric cell in table body ({exc})") from exc
-    return make_joint(probs, labels_x=labels_x, labels_y=labels_y)
+    return make_joint(probs)
 
 
 def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:

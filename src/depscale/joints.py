@@ -52,14 +52,14 @@ class DiscreteJoint:
     ``probs[x, y]`` is P(X = x, Y = y).  Entries are nonnegative, the total
     mass is renormalized to 1 exactly at construction, and every row and
     column marginal is strictly positive (zero-mass atoms are rejected, not
-    silently dropped).  Optional ``labels_x`` / ``labels_y`` name the atoms;
-    they play no role in any computation.  The marginals ``p_x`` (row sums)
-    and ``p_y`` (column sums) are computed once, from the frozen ``probs``.
+    silently dropped).  An atom is its index: every dependence measure is
+    invariant under renaming the atoms, so the table carries no names, and a
+    caller that wants them keeps its own index-to-name list.  The marginals
+    ``p_x`` (row sums) and ``p_y`` (column sums) are computed once, from the
+    frozen ``probs``.
     """
 
     probs: np.ndarray
-    labels_x: tuple[str, ...] | None = None
-    labels_y: tuple[str, ...] | None = None
     p_x: np.ndarray = field(init=False, repr=False, compare=False)
     p_y: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -91,15 +91,6 @@ class DiscreteJoint:
             marginal.flags.writeable = False
             object.__setattr__(self, name, marginal)
         object.__setattr__(self, "probs", p)
-        for name, n in (("labels_x", p.shape[0]), ("labels_y", p.shape[1])):
-            labels = getattr(self, name)
-            if labels is not None:
-                labels = tuple(str(s) for s in labels)
-                if len(labels) != n:
-                    raise InvalidDistributionError(
-                        f"{name} has {len(labels)} entries for {n} atoms"
-                    )
-                object.__setattr__(self, name, labels)
 
     @property
     def n_x(self) -> int:
@@ -111,24 +102,17 @@ class DiscreteJoint:
 
     def transposed(self) -> "DiscreteJoint":
         """The joint with the roles of X and Y swapped."""
-        return DiscreteJoint(self.probs.T, self.labels_y, self.labels_x)
+        return DiscreteJoint(self.probs.T)
 
 
-def make_joint(
-    probs: np.ndarray | Sequence[Sequence[float]],
-    labels_x: Sequence[str] | None = None,
-    labels_y: Sequence[str] | None = None,
-) -> DiscreteJoint:
+def make_joint(probs: np.ndarray | Sequence[Sequence[float]]) -> DiscreteJoint:
     """Validate and exactly renormalize a probability table.
 
     Accepts any nonnegative rectangular table whose mass is within 1e-9 of 1
-    and whose row/column sums are all strictly positive.
+    and whose row/column sums are all strictly positive.  Rows and columns
+    are the atoms of X and Y, named by their indices.
     """
-    return DiscreteJoint(
-        np.asarray(probs, dtype=float),
-        None if labels_x is None else tuple(labels_x),
-        None if labels_y is None else tuple(labels_y),
-    )
+    return DiscreteJoint(np.asarray(probs, dtype=float))
 
 
 def conditional_matrix(j: DiscreteJoint) -> np.ndarray:
@@ -149,12 +133,7 @@ def augment_with_independent(j: DiscreteJoint, r: np.ndarray) -> DiscreteJoint:
     ``len(r)`` columns inverts exactly.
     """
     r = _probability_vector(r, "r", positive=True)
-    labels_y = None
-    if j.labels_y is not None:
-        labels_y = tuple(
-            f"{ly}|z{k}" for ly in j.labels_y for k in range(r.size)
-        )
-    return DiscreteJoint(np.kron(j.probs, r[None, :]), j.labels_x, labels_y)
+    return DiscreteJoint(np.kron(j.probs, r[None, :]))
 
 
 def _probability_vector(v: np.ndarray, name: str, *, positive: bool) -> np.ndarray:
@@ -188,29 +167,14 @@ def coarsen_y(j: DiscreteJoint, partition: Sequence[Sequence[int]]) -> DiscreteJ
     deterministic post-processing of Y, so no dependence measure can increase
     under it.
     """
-    seen: set[int] = set()
-    groups: list[list[int]] = []
-    for g in partition:
-        idx = [int(i) for i in g]
-        if len(idx) == 0:
-            raise InvalidDistributionError("empty group in partition")
-        for i in idx:
-            if i < 0 or i >= j.n_y:
-                raise InvalidDistributionError(
-                    f"column index {i} out of range for {j.n_y} columns"
-                )
-            if i in seen:
-                raise InvalidDistributionError(f"column index {i} appears twice")
-            seen.add(i)
-        groups.append(idx)
-    if len(seen) != j.n_y:
-        missing = sorted(set(range(j.n_y)) - seen)
-        raise InvalidDistributionError(f"columns {missing} not covered by partition")
+    groups = [[int(i) for i in g] for g in partition]
+    if not all(groups) or sorted(i for g in groups for i in g) != list(range(j.n_y)):
+        raise InvalidDistributionError(
+            f"partition must split columns 0..{j.n_y - 1} into nonempty groups "
+            "that use each column exactly once"
+        )
     cols = np.stack([j.probs[:, idx].sum(axis=1) for idx in groups], axis=1)
-    labels_y = None
-    if j.labels_y is not None:
-        labels_y = tuple("+".join(j.labels_y[i] for i in idx) for idx in groups)
-    return DiscreteJoint(cols, j.labels_x, labels_y)
+    return DiscreteJoint(cols)
 
 
 @dataclass(frozen=True)

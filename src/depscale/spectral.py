@@ -45,9 +45,20 @@ DEFAULT_ORDER_TOL = 1e-10
 def normalized_matrix(j: DiscreteJoint) -> np.ndarray:
     """The table P(x, y) / sqrt(p_x(x) p_y(y)).
 
-    Entries lie in [0, 1] because P(x, y) <= min(p_x(x), p_y(y)).
+    Entries lie in [0, 1] because P(x, y) <= min(p_x(x), p_y(y)).  Each
+    marginal is split as a * 4**s with a in [1/4, 1) and the powers of two
+    leave the table exactly, so p_x(x) p_y(y) cannot underflow.
     """
-    return j.probs / np.sqrt(np.outer(j.p_x, j.p_y))
+    (a_x, s_x), (a_y, s_y) = _quarter_split(j.p_x), _quarter_split(j.p_y)
+    scaled = np.ldexp(j.probs, -np.add.outer(s_x, s_y))
+    return scaled / np.sqrt(np.outer(a_x, a_y))
+
+
+def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, s) with p == a * 4**s exactly and a in [1/4, 1), for p > 0."""
+    m, e = np.frexp(p)
+    s = -(-e // 2)
+    return np.ldexp(m, e - 2 * s), s
 
 
 @dataclass(frozen=True)
@@ -236,13 +247,15 @@ def gram_det_oracle(
     Returns the best objective seen.  Raises
     :class:`~depscale.errors.NonConvergenceError` if no restart reaches the
     gradient tolerance, and ``ValueError`` if ``tol`` is negative or not
-    finite.
+    finite or ``max_iter`` is below 1.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     check_tol(tol)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n_x = j.n_x
     k = m + 1
     if k > n_x - 1:

@@ -195,6 +195,14 @@ class TestOversampledIteration:
         with pytest.raises(ValueError, match="tol"):
             gram_det_oracle(j, 0, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_sweep_budget_below_one_is_rejected(self, max_iter):
+        j = make_joint(FIXTURE)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ace_subspace(j, 1, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            gram_det_oracle(j, 0, max_iter=max_iter)
+
 
 class TestSubspace:
     def test_block_size_one_matches_ace_pair(self):

@@ -10,9 +10,13 @@ import inspect
 import io
 import json
 import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_finite_rank, random_independent, random_joint
@@ -147,6 +151,64 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", path, "--max-order", "-1")
         assert code == 2
         assert json.loads(err)["error"] == "InvalidArgument"
+
+
+def _extreme_tables():
+    """Tables of 1 x N, N x 1 or N x (N+1) cells 10**-e (e in 0..300) or 0,
+    so zero rows and columns and marginals far below sqrt(tiny) all occur."""
+    cell = st.one_of(st.just(0.0), st.integers(0, 300).map(lambda e: 10.0**-e))
+    shape = st.integers(1, 6).flatmap(
+        lambda n: st.sampled_from([(1, n), (n, 1), (n, n + 1)])
+    )
+    return shape.flatmap(
+        lambda s: st.lists(st.lists(cell, min_size=s[1], max_size=s[1]),
+                           min_size=s[0], max_size=s[0])
+    )
+
+
+class TestComputeProperties:
+    """Whatever the table, ``compute`` gives a consistent report or one error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_extreme_tables())
+    # Marginals 1e-200 on both sides: their product underflows to 0.
+    @example(table=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1e-200]])
+    def test_report_or_one_structured_error(self, tmp_path_factory, table):
+        probs = np.array(table, dtype=float)
+        if probs.sum() > 0:
+            probs /= probs.sum()
+        path = write_table(tmp_path_factory.mktemp("extreme"), "j.csv", probs)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["compute", path])
+        out, err = out.getvalue(), err.getvalue()
+        assert caught == []
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert set(json.loads(err)) == {"schema", "error", "message"}
+            return
+        assert err == ""
+        report = json.loads(out)
+        n_x, n_y = probs.shape
+        assert report["complete"] is (
+            n_x <= n_y and report["order"] == len(report["sigma"])
+        )
+        d = np.array(report["D"])
+        assert np.all(np.diff(d) <= 0)
+        assert d[0] == report["R"] ** 2
+
+    def test_underflowing_marginal_product(self, capsys, tmp_path):
+        path = write(tmp_path, "j.csv", "0.5,0,0\n0,0.5,0\n0,0,1e-200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "compute", path)
+        assert caught == [] and code == 0 and err == ""
+        report = json.loads(out)
+        assert report["sigma"] == [1.0, 1.0]
+        assert report["complete"] is True
 
 
 class TestOneSpectrumPerReport:
@@ -407,6 +469,20 @@ class TestTransforms:
         code, out, err = run_cli(capsys, "transforms", path, "--max-iter", "1")
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "NonConvergence"
+
+    @pytest.mark.parametrize(
+        "text, max_iter", [(FIXTURE_CSV, "-1"), (INDEPENDENT_CSV, "0")],
+        ids=["fixture", "independent"],
+    )
+    def test_sweep_budget_below_one_is_an_invalid_argument(
+        self, capsys, tmp_path, text, max_iter
+    ):
+        path = write(tmp_path, "j.csv", text)
+        code, out, err = run_cli(capsys, "transforms", path, "--max-iter", max_iter)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidArgument"
+        assert error["message"] == f"max_iter must be >= 1, got {max_iter}"
 
     def test_rho_matches_the_spectrum_on_every_fixture(self, capsys, tmp_path):
         for name, text in (("fixture", FIXTURE_CSV), ("weak", WEAK_CSV)):

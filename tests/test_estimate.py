@@ -1,6 +1,5 @@
 """Binning, plug-in estimation, and the analytic Gaussian discretization."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,7 @@ from depscale import (
     gaussian_quantile_joint,
     maximal_correlation,
 )
-from depscale.estimate import _merged_interval_labels, profile_of_joint
+from depscale.estimate import profile_of_joint
 
 
 class TestBinningSpec:
@@ -44,41 +43,33 @@ class TestBinningSpec:
 
 class TestBinColumn:
     def test_quantile_midpoint_edges(self):
-        codes, labels = bin_column(np.array([0.0, 1.0, 2.0, 3.0]), 2, "quantile")
+        codes = bin_column(np.array([0.0, 1.0, 2.0, 3.0]), 2, "quantile")
         assert codes.tolist() == [0, 0, 1, 1]
-        assert labels == ["[-inf, 1.5)", "[1.5, inf)"]
 
     def test_uniform_width_edges(self):
-        codes, _ = bin_column(np.array([0.0, 1.0, 2.0, 3.0]), 2, "uniform-width")
+        codes = bin_column(np.array([0.0, 1.0, 2.0, 3.0]), 2, "uniform-width")
         assert codes.tolist() == [0, 0, 1, 1]
 
     def test_categorical_counts_distinct_values(self):
-        codes, labels = bin_column(
-            np.array(["b", "a", "b"], dtype=object), 5, "categorical"
-        )
-        assert labels == ["a", "b"]
-        assert codes.tolist() == [1, 0, 1]
+        codes = bin_column(np.array(["b", "a", "b"], dtype=object), 5, "categorical")
+        assert codes.tolist() == [1, 0, 1]  # distinct values in sorted order
 
     def test_constant_column_falls_back_to_categorical(self):
-        codes, labels = bin_column(np.full(6, 2.5), 4, "quantile")
-        assert labels == ["2.5"]
+        codes = bin_column(np.full(6, 2.5), 4, "quantile")
         assert codes.tolist() == [0] * 6
 
     def test_ties_collapse_into_merged_interval_labels(self):
-        codes, labels = bin_column(
-            np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]), 3, "quantile"
-        )
+        # Edges 0 and 1.5: the first of three bins stays empty and is dropped.
+        codes = bin_column(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]), 3, "quantile")
         assert codes.tolist() == [0, 0, 0, 0, 1, 1]
-        assert labels == ["[-inf, 1.5)", "[1.5, inf)"]
 
     def test_codes_are_dense_and_every_bin_occupied(self):
         rng = np.random.default_rng(50)
         for strategy in ("quantile", "uniform-width"):
             values = rng.standard_normal(200)
-            codes, labels = bin_column(values, 8, strategy)
-            counts = np.bincount(codes, minlength=len(labels))
-            assert np.all(counts > 0)
-            assert codes.max() == len(labels) - 1
+            codes = bin_column(values, 8, strategy)
+            assert codes.min() == 0
+            assert np.all(np.bincount(codes) > 0)
 
 
 class TestEmpiricalJoint:
@@ -91,8 +82,6 @@ class TestEmpiricalJoint:
     def test_categorical_pairs_match_contingency_counts(self):
         s = SampleTable(["a", "a", "b"], ["u", "v", "u"])
         j = empirical_joint(s, BinningSpec(strategy="categorical"))
-        assert j.labels_x == ("a", "b")
-        assert j.labels_y == ("u", "v")
         assert_allclose(j.probs, np.array([[1, 1], [1, 0]]) / 3)
 
     def test_independent_uniforms_have_small_plug_in_r(self):
@@ -151,12 +140,6 @@ class TestGroupedColumns:
         b = empirical_joint_grouped(x, [y], spec)
         assert np.array_equal(a.probs, b.probs)
 
-    def test_product_labels_join_with_ampersand(self):
-        rng = np.random.default_rng(56)
-        x, y, z = rng.random(400), rng.random(400), rng.random(400)
-        j = empirical_joint_grouped(x, [y, z], BinningSpec(bins_x=2, bins_y=2))
-        assert all("&" in lab for lab in j.labels_y)
-
     def test_adjoining_a_column_cannot_reduce_dependence(self):
         # Coarsening the (Y, Z) product back to Y recovers the single-column
         # joint, so the grouped estimate dominates the marginal one.
@@ -171,10 +154,15 @@ class TestGroupedColumns:
             maximal_correlation(grouped)
             >= maximal_correlation(single) - 1e-10
         )
-        # explicit round trip: merge the z-blocks of the product alphabet
-        prefix = [lab.split("&")[0] for lab in grouped.labels_y]
-        groups: dict[str, list[int]] = {}
-        for idx, key in enumerate(prefix):
+        # explicit round trip: merge the z-blocks of the product alphabet.
+        # Product atoms number the observed (y, z) code tuples in
+        # lexicographic order, so row t of the sorted tuples is atom t.
+        tuples = np.unique(
+            np.stack([bin_column(c, 4, "quantile") for c in (y, z)], axis=1), axis=0
+        )
+        assert tuples.shape[0] == grouped.n_y
+        groups: dict[int, list[int]] = {}
+        for idx, key in enumerate(tuples[:, 0].tolist()):
             groups.setdefault(key, []).append(idx)
         back = coarsen_y(grouped, list(groups.values()))
         order = np.argsort([g[0] for g in groups.values()])
@@ -219,49 +207,11 @@ class TestGaussianQuantileJoint:
         assert_allclose(j.p_x, np.full(4, 0.25), atol=1e-12)
 
 
-def _reference_interval_labels(edges, occupied, bins):
-    """Merged-bin labels by searching an owner for every bin, then collecting
-    each occupied bin's interval (the search-based original)."""
-    # owner[b] = occupied bin absorbing original bin b (nearest index, tie left).
-    pos = np.searchsorted(occupied, np.arange(bins))
-    pos = np.clip(pos, 0, occupied.size - 1)
-    left = occupied[np.clip(pos - 1, 0, occupied.size - 1)]
-    right = occupied[pos]
-    dist_left = np.abs(np.arange(bins) - left)
-    dist_right = np.abs(right - np.arange(bins))
-    owner = np.where(dist_left <= dist_right, left, right)
-    owner[occupied] = occupied
-    bounds = np.concatenate([[-np.inf], edges, [np.inf]])
-    labels = []
-    for b in occupied:
-        mine = np.nonzero(owner == b)[0]
-        lo, hi = bounds[mine.min()], bounds[mine.max() + 1]
-        labels.append(f"[{lo:.6g}, {hi:.6g})")
-    return labels
-
-
-def test_merged_labels_match_the_owner_search_on_every_occupancy():
-    # Every set of at least two occupied bins out of 2..10 bins: 1981 patterns.
-    patterns = 0
-    for bins in range(2, 11):
-        edges = np.cumsum(np.linspace(0.5, 1.5, bins - 1)) - 3.0
-        for size in range(2, bins + 1):
-            for occupied in itertools.combinations(range(bins), size):
-                occupied = np.array(occupied)
-                assert _merged_interval_labels(edges, occupied, bins) == (
-                    _reference_interval_labels(edges, occupied, bins)
-                ), (bins, occupied)
-                patterns += 1
-    assert patterns == 1981
-
-
 def _reference_bin_column(values, bins, strategy):
-    """``bin_column`` as it was written before ``bincount``: sort, then unique,
-    then the owner search for labels."""
+    """``bin_column`` as it was written before ``bincount``: sort, then unique."""
     if strategy == "categorical" or values.dtype == object:
-        atoms, codes = np.unique(values.astype(str) if values.dtype == object else values,
-                                 return_inverse=True)
-        return codes, [str(a) for a in atoms]
+        return np.unique(values.astype(str) if values.dtype == object else values,
+                         return_inverse=True)[1]
     col = values.astype(float)
     if strategy == "quantile":
         qs = np.arange(1, bins) / bins
@@ -274,20 +224,18 @@ def _reference_bin_column(values, bins, strategy):
         return _reference_bin_column(values, bins, "categorical")
     remap = np.full(bins, -1)
     remap[occupied] = np.arange(occupied.size)
-    return remap[codes], _reference_interval_labels(edges, occupied, bins)
+    return remap[codes]
 
 
 def _reference_grouped(x, ys, spec):
     """Grouped plug-in joint through ``np.unique(axis=0)`` and ``np.add.at``."""
-    codes_x, labels_x = _reference_bin_column(x, spec.bins_x, spec.strategy)
-    parts = [_reference_bin_column(y, spec.bins_y, spec.strategy) for y in ys]
-    stacked = np.stack([c for c, _ in parts], axis=1)
+    codes_x = _reference_bin_column(x, spec.bins_x, spec.strategy)
+    stacked = np.stack([_reference_bin_column(y, spec.bins_y, spec.strategy) for y in ys],
+                       axis=1)
     combos, codes_y = np.unique(stacked, axis=0, return_inverse=True)
-    labels_y = ["&".join(parts[d][1][combo[d]] for d in range(len(parts))) for combo in combos]
-    counts = np.zeros((len(labels_x), len(labels_y)))
+    counts = np.zeros((codes_x.max() + 1, combos.shape[0]))
     np.add.at(counts, (codes_x, codes_y.ravel()), 1.0)
-    j = DiscreteJoint(counts / x.shape[0], labels_x=tuple(labels_x), labels_y=tuple(labels_y))
-    return j.probs, j.labels_x, j.labels_y
+    return DiscreteJoint(counts / x.shape[0]).probs
 
 
 class TestCountingMatchesReference:
@@ -310,9 +258,7 @@ class TestCountingMatchesReference:
         words = rng.choice(np.array(["u", "v", "w"], dtype=object), n)
         for ys in ([ties, gappy], [gappy, const, x], [words, ties], [const, const]):
             j = empirical_joint_grouped(x, ys, spec)
-            probs, labels_x, labels_y = _reference_grouped(x, ys, spec)
-            assert np.array_equal(j.probs, probs)
-            assert (j.labels_x, j.labels_y) == (labels_x, labels_y)
+            assert np.array_equal(j.probs, _reference_grouped(x, ys, spec))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,13 +274,10 @@ class TestCountingMatchesReference:
         spec = BinningSpec(strategy, bins, bins)
         for ys in ([y], [y, z], [z, y, x]):
             for col in (x, *ys):
-                codes, labels = bin_column(col, bins, strategy)
-                want_codes, want_labels = _reference_bin_column(col, bins, strategy)
-                assert np.array_equal(codes, want_codes) and labels == want_labels
+                codes = bin_column(col, bins, strategy)
+                assert np.array_equal(codes, _reference_bin_column(col, bins, strategy))
             j = empirical_joint_grouped(x, ys, spec)
-            probs, labels_x, labels_y = _reference_grouped(x, ys, spec)
-            assert np.array_equal(j.probs, probs)
-            assert (j.labels_x, j.labels_y) == (labels_x, labels_y)
+            assert np.array_equal(j.probs, _reference_grouped(x, ys, spec))
 
     def test_product_alphabet_is_never_allocated(self):
         # Two Y columns of n distinct values each: their product alphabet has
@@ -353,5 +296,4 @@ class TestCountingMatchesReference:
             tracemalloc.stop()
         assert j.n_y == n
         assert peak < 8 * 2**20
-        probs, _, labels_y = _reference_grouped(x, [y1, y2], spec)
-        assert np.array_equal(j.probs, probs) and j.labels_y == labels_y
+        assert np.array_equal(j.probs, _reference_grouped(x, [y1, y2], spec))

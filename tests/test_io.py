@@ -27,19 +27,15 @@ class TestLoadJointCsv:
         path = write(tmp_path, "j.csv", "0.4,0.1\n0.1,0.4\n")
         j = load_joint_csv(path)
         assert_allclose(j.probs, [[0.4, 0.1], [0.1, 0.4]])
-        assert j.labels_x is None and j.labels_y is None
 
     def test_header_row_of_y_labels(self, tmp_path):
         path = write(tmp_path, "j.csv", "u,v\n0.4,0.1\n0.1,0.4\n")
         j = load_joint_csv(path)
-        assert j.labels_y == ("u", "v")
-        assert j.labels_x is None
+        assert_allclose(j.probs, [[0.4, 0.1], [0.1, 0.4]])
 
     def test_header_and_row_labels(self, tmp_path):
         path = write(tmp_path, "j.csv", ",u,v\na,0.4,0.1\nb,0.1,0.4\n")
         j = load_joint_csv(path)
-        assert j.labels_x == ("a", "b")
-        assert j.labels_y == ("u", "v")
         assert_allclose(j.probs, [[0.4, 0.1], [0.1, 0.4]])
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -153,7 +149,6 @@ class TestByteOrderMark:
         path = write(tmp_path, "j.csv", "﻿0.4,0.1\n0.1,0.4\n")
         j = load_joint_csv(path)
         assert_allclose(j.probs, [[0.4, 0.1], [0.1, 0.4]])
-        assert j.labels_x is None and j.labels_y is None
 
     def test_covariance(self, tmp_path):
         path = write(tmp_path, "c.csv", "﻿1,0.5\n0.5,1\n")
@@ -214,7 +209,7 @@ def _outcome(load, *args):
         return names, [(c.dtype.str, c.tobytes() if c.dtype != object else c.tolist())
                        for c in cols]
     if hasattr(result, "probs"):
-        return result.probs.tobytes(), result.labels_x, result.labels_y
+        return result.probs.tobytes()
     return result.v11.tobytes(), result.v12.tobytes(), result.v22.tobytes()
 
 

@@ -64,20 +64,15 @@ class TestMakeJoint:
         with pytest.raises(InvalidDistributionError):
             make_joint([[0.5, np.nan], [0.25, 0.25]])
 
-    def test_label_length_checked(self):
-        with pytest.raises(InvalidDistributionError):
-            make_joint([[0.5, 0.5]], labels_y=["only-one"])
-
     def test_probs_are_immutable(self):
         j = make_joint([[0.5, 0.5]])
         with pytest.raises(ValueError):
             j.probs[0, 0] = 1.0
 
     def test_transposed_swaps_sides(self):
-        j = make_joint([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]], labels_x=["a", "b"])
+        j = make_joint([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]])
         t = j.transposed()
         assert t.n_x == 3 and t.n_y == 2
-        assert t.labels_y == ("a", "b")
         assert_allclose(t.probs, j.probs.T)
 
 
@@ -157,11 +152,6 @@ class TestAugmentWithIndependent:
             [[0.12, 0.28, 0.03, 0.07], [0.03, 0.07, 0.12, 0.28]],
         )
 
-    def test_labels_carry_the_z_atom(self):
-        j = make_joint([[0.4, 0.1], [0.1, 0.4]], labels_y=["u", "v"])
-        out = augment_with_independent(j, [0.3, 0.7])
-        assert out.labels_y == ("u|z0", "u|z1", "v|z0", "v|z1")
-
     def test_rejects_bad_z_distribution(self):
         j = make_joint([[0.4, 0.1], [0.1, 0.4]])
         with pytest.raises(InvalidDistributionError):
@@ -198,11 +188,6 @@ class TestCoarsenY:
         j = make_joint([[0.12, 0.28, 0.03, 0.07], [0.03, 0.07, 0.12, 0.28]])
         out = coarsen_y(j, [[0, 1], [2, 3]])
         assert_allclose(out.probs, [[0.4, 0.1], [0.1, 0.4]])
-
-    def test_merged_labels_join(self):
-        j = make_joint([[0.4, 0.1], [0.1, 0.4]], labels_y=["u", "v"])
-        out = coarsen_y(j, [[0, 1]])
-        assert out.labels_y == ("u+v",)
 
     @pytest.mark.parametrize(
         "partition",
