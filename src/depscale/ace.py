@@ -45,9 +45,10 @@ _MIN_TOL = 64 * np.finfo(float).eps
 class TransformPair:
     """A standardized transform pair and its achieved correlation.
 
-    ``rho`` is corr(phi(X), psi(Y)) under the joint.  ``n_iter`` counts full
-    sweeps; ``trace`` records the top Ritz value after each sweep (monotone
-    non-decreasing up to roundoff).
+    ``rho`` is corr(phi(X), psi(Y)) under the joint, clipped to at most 1
+    as :class:`~depscale.spectral.SingularSpectrum` clips sigma.  ``n_iter``
+    counts full sweeps; ``trace`` records the top Ritz value after each sweep
+    (monotone non-decreasing up to roundoff).
     """
 
     phi: FunctionTable
@@ -161,6 +162,7 @@ def ace_subspace(
         if rho < 0:
             psi = -psi
             rho = -rho
+        rho = min(rho, 1.0)
         phi, psi = _sign_normalize(phi, psi)
         out.append(
             TransformPair(

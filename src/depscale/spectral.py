@@ -18,9 +18,10 @@ Two independent routes to the same numbers live here on purpose:
 * :func:`singular_spectrum` / :func:`dependence_scale` — SVD with the
   constant direction explicitly projected out (never trusting value ordering
   to separate it).
-* :func:`gram_det_oracle` — direct numerical maximization of the image
-  generalized variance over frames of standardized functions, built from the
-  conditional table with no SVD or eigendecomposition anywhere in the path.
+* :func:`gram_det_oracle` — direct maximization of the log of the image
+  generalized variance over frames of standardized functions, by a
+  Barzilai-Borwein Riemannian ascent built from the conditional table with
+  only QR and LU factorizations: no SVD or eigendecomposition in the path.
 
 Tests hold the two routes against each other; neither is ever collapsed into
 the other.
@@ -220,8 +221,15 @@ def dependence_scale(
 
 
 # --------------------------------------------------------------------------
-# Independent oracle: direct ascent on the image generalized variance.
+# Independent oracle: Riemannian ascent of the image log generalized variance.
 # --------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+#: Nonmonotone Armijo test: a step must lift log det by _ARMIJO * step *
+#: ||G||**2 above the least value of the last _MEMORY iterates.
+_MEMORY = 5
+_ARMIJO = 1e-4
 
 
 def gram_det_oracle(
@@ -233,20 +241,30 @@ def gram_det_oracle(
     tol: float = 1e-12,
     max_iter: int = 10_000,
 ) -> float:
-    """Maximize det Cov(E{phi_0|Y}, ..., E{phi_m|Y}) by projected gradient.
+    """Maximize det Cov(E{phi_0|Y}, ..., E{phi_m|Y}) by Riemannian ascent.
 
-    The feasible set is all (m+1)-tuples of functions of X with identity
-    covariance (standardized, mutually uncorrelated).  The tuple is
-    parametrized as an orthonormal frame in the mean-zero subspace and pushed
-    uphill with an Armijo line search and QR retraction; all ``restarts``
-    frames advance in one batch.  No SVD, eigendecomposition, or product
-    formula is used: the objective is assembled from the conditional table
-    and evaluated as a bare determinant, which keeps this an independent
-    check of :func:`dependence_scale`.
+    The tuple ranges over functions of X with identity covariance, written
+    as an orthonormal frame B of mean-zero directions, so that the image
+    covariance is S = B' Mt B.  All ``restarts`` frames climb
+    f(B) = log det S together on the Stiefel manifold (Absil, Mahony and
+    Sepulchre 2008, ch. 3-4): Barzilai-Borwein steps along the Riemannian
+    gradient G = 2 (Mt B S^-1 - B), QR retraction, and a nonmonotone Armijo
+    test (Wen and Yin 2013).  Only QR and LU factorizations are used, never
+    an SVD, eigendecomposition or product formula, which keeps this an
+    independent check of :func:`dependence_scale`.
+
+    A restart converges when ||G||_F**2 <= ``tol`` or G is within its own
+    rounding error.  As f is a log, ``tol`` sets the error relative to the
+    maximum: near it, about tol / (4 (1 - sigma_{m+2}**2 / sigma_{m+1}**2)).
+    A restart is null when S has an eigenvalue within rounding of 0: an
+    entry of S^-1 of at least 1 / (64 n eps (||Mt||_F + n eps)), with
+    n = |X| - 1.  When every restart is null the maximum is 0.  One DEBUG
+    record on the ``depscale`` logger counts the restarts converged and
+    null and the iterations.
 
     Returns the best objective seen.  Raises
-    :class:`~depscale.errors.NonConvergenceError` if no restart reaches the
-    gradient tolerance, and ``ValueError`` if ``tol`` is negative or not
+    :class:`~depscale.errors.NonConvergenceError` if no restart converges
+    and not all are null, and ``ValueError`` if ``tol`` is negative or not
     finite or ``max_iter`` is below 1.
     """
     if m < 0:
@@ -262,106 +280,142 @@ def gram_det_oracle(
         # Identity covariance needs m+1 independent mean-zero directions on X.
         return 0.0
 
-    # Image second-moment matrix in whitened coordinates: for phi written as
-    # a[x] / sqrt(p_x(x)), the covariance of images E{phi_i|Y} is a_i' M a_j.
-    K = conditional_matrix(j)
-    p_x, p_y = j.p_x, j.p_y
-    M_f = (K * p_y[None, :]) @ K.T - np.outer(p_x, p_x)
-    rt = np.sqrt(p_x)
-    M = M_f / np.outer(rt, rt)
-
-    # Orthonormal basis of the mean-zero subspace (complement of sqrt(p_x)).
-    full, _ = np.linalg.qr(rt[:, None], mode="complete")
-    N = full[:, 1:]
-    Mt = N.T @ M @ N
-    Mt = (Mt + Mt.T) / 2.0
+    # phi = N a / sqrt(p_x), N an orthonormal basis of the complement of
+    # sqrt(p_x), is mean-zero with variance ||a||**2; its image E{phi|Y = y}
+    # is a' W[:, y], W[:, y] = N' K[:, y] sqrt(p_y(y) / p_x), so image
+    # covariances are a_i' Mt a_j with Mt = W W'.
+    rt = np.sqrt(j.p_x)
+    N = np.linalg.qr(rt[:, None], mode="complete")[0][:, 1:]
+    W = N.T @ (conditional_matrix(j) * np.sqrt(j.p_y) / rt[:, None])
+    Mt = W @ W.T
 
     rng = np.random.default_rng(seed)
-    B = np.linalg.qr(rng.standard_normal((restarts, n_x - 1, k)))[0]
-    best, n_converged = _ascend_frames(Mt, B, tol, max_iter)
+    B = _retract(rng.standard_normal((restarts, n_x - 1, k)))
+    best, n_converged, n_null, n_iter = _ascend_log_det(Mt, B, tol, max_iter)
+    # logging is imported here, its only use, to keep it off the CLI's start-up.
+    import logging
+
+    logging.getLogger("depscale").debug(
+        "gram_det_oracle m=%d: %d of %d restarts converged, %d null, %d iterations",
+        m, n_converged, restarts, n_null, n_iter,
+    )
+    if n_null == restarts:
+        return 0.0
     if n_converged == 0:
         raise NonConvergenceError(
             f"no ascent restart reached tolerance {tol} in {max_iter} iterations"
         )
-    return min(max(best, 0.0), 1.0)
+    return min(float(np.exp(best)), 1.0)
 
 
-def _ascend_frames(Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int) -> tuple[float, int]:
-    """Push a batch of Stiefel frames uphill on det(B' Mt B).
+def _ascend_log_det(
+    Mt: np.ndarray, B: np.ndarray, tol: float, max_iter: int
+) -> tuple[float, int, int, int]:
+    """Ascend log det(B' Mt B) on a stack of frames B.
 
-    Armijo line search with a growing step memory; a frame is done when its
-    squared tangent gradient falls below ``tol`` (relative to the objective
-    scale), which pins the objective far tighter than it pins the frame —
-    flat near-tied directions stop early at the right value instead of
-    crawling.  Finished frames are compacted out of the batch.
-
-    Returns (best objective seen, number of frames that converged).
+    Null frames leave the batch at the start: S has at most the m+1-th
+    eigenvalue of Mt as its least one, so when Mt's is within rounding of 0
+    every frame is null.  A frame leaves later when it converges or its line
+    search finds no uphill move above rounding.  Returns (best log det seen,
+    frames converged, frames null, iterations).
     """
-    S = np.swapaxes(B, 1, 2) @ (Mt @ B)
-    val = np.linalg.det(S)
-    best = float(val.max(initial=0.0))
-    step = np.full(B.shape[0], 1.0)
-    n_converged = 0
-
-    for _ in range(max_iter):
-        if B.shape[0] == 0:
-            break
-        G_t = 2.0 * (Mt @ B) @ _batch_adjugate(S)
-        BtG = np.swapaxes(B, 1, 2) @ G_t
-        G_t -= B @ ((BtG + np.swapaxes(BtG, 1, 2)) / 2.0)
-        g2 = (G_t**2).sum(axis=(1, 2))
-
-        scale = (1.0 + np.abs(val)) ** 2
-        done = g2 <= tol * scale
-        stalled = np.zeros_like(done)
-
-        live = ~done
-        trial = step * 2.0
-        accepted = np.zeros_like(done)
-        while (todo := live & ~accepted).any():
-            cand = np.linalg.qr(B[todo] + trial[todo, None, None] * G_t[todo])[0]
-            S_c = np.swapaxes(cand, 1, 2) @ (Mt @ cand)
-            val_c = np.linalg.det(S_c)
-            ok = val_c >= val[todo] + 1e-4 * trial[todo] * g2[todo]
-            idx = np.nonzero(todo)[0]
-            good = idx[ok]
-            B[good] = cand[ok]
-            S[good] = S_c[ok]
-            val[good] = val_c[ok]
-            step[good] = trial[good]
-            accepted[good] = True
-            bad = idx[~ok]
-            trial[bad] /= 2.0
-            exhausted = bad[trial[bad] < 1e-18]
-            if exhausted.size:
-                # No uphill step at any scale: flat to machine precision.
-                stalled[exhausted] = True
-                live[exhausted] = False
-        best = max(best, float(val.max(initial=0.0)))
-
-        finished = done | (stalled & (g2 <= np.sqrt(tol) * scale))
-        n_converged += int(np.count_nonzero(finished))
-        drop = finished | stalled
-        if drop.any():
-            keep = ~drop
-            B, S, val, step = B[keep], S[keep], val[keep], step[keep]
-
-    return best, n_converged
+    n, size = Mt.shape[0], float(np.linalg.norm(Mt))
+    # S = B' Mt B is rounded at about n eps ||Mt||, and Mt = W W' keeps
+    # eigenvalues near (n eps)**2 where W holds only rounding.
+    floor = 64 * n * _EPS * (size + n * _EPS)
+    # Rounding error of G per unit of ||S^-1||_F: that of Mt B and of S.
+    noise2 = (4 * _EPS * n * size) ** 2
+    MtB, S_inv, f, null = _log_det_images(Mt, B, floor)
+    B, MtB, S_inv, f = (a[~null] for a in (B, MtB, S_inv, f))
+    hist = np.repeat(f[:, None], _MEMORY, axis=1)
+    best = float(f.max(initial=-np.inf))
+    n_converged, n_null, it = 0, int(np.count_nonzero(null)), 0
+    B_prev = G_prev = None
+    while it < max_iter and B.shape[0]:
+        it += 1
+        G = 2.0 * (MtB @ S_inv - B)
+        g2 = (G**2).sum(axis=(1, 2))
+        done = g2 <= tol + noise2 * (S_inv**2).sum(axis=(1, 2))
+        n_converged += int(np.count_nonzero(done))
+        keep = ~done
+        B, MtB, S_inv, f, hist, G, g2 = (a[keep] for a in (B, MtB, S_inv, f, hist, G, g2))
+        # No step moves a frame further than norm 1.
+        step = 1.0 / np.sqrt(g2)
+        if B_prev is not None:
+            bb = _bb_step(B - B_prev[keep], G - G_prev[keep], long=it % 2 == 0)
+            step = np.minimum(bb, step)
+        B_prev, G_prev = B, G
+        B, MtB, S_inv, f, stalled = _line_search(
+            Mt, B, MtB, S_inv, f, G, step, g2, hist.min(axis=1), floor
+        )
+        best = max(best, float(f.max(initial=-np.inf)))
+        keep = ~stalled
+        hist = np.column_stack((hist[:, 1:], f))[keep]
+        B, MtB, S_inv, f, B_prev, G_prev = (
+            a[keep] for a in (B, MtB, S_inv, f, B_prev, G_prev)
+        )
+    return best, n_converged, n_null, it
 
 
-def _batch_adjugate(s: np.ndarray) -> np.ndarray:
-    """Adjugate of each k x k matrix in a stack.
+def _bb_step(s: np.ndarray, y: np.ndarray, long: bool) -> np.ndarray:
+    """Barzilai-Borwein step of each frame from its last move ``s`` and
+    gradient change ``y``: <s,s>/|<s,y>| if ``long``, else |<s,y>|/<y,y>;
+    inf where the ratio is undefined."""
+    sy = np.abs((s * y).sum(axis=(1, 2)))
+    num, den = ((s**2).sum(axis=(1, 2)), sy) if long else (sy, (y**2).sum(axis=(1, 2)))
+    return np.divide(num, den, out=np.full_like(den, np.inf), where=den > 0)
 
-    adj(S) = det(S) inv(S) when invertible, but stays finite at singular S,
-    which matters because the ascent visits det = 0 frames whenever
-    m + 1 exceeds the joint's nontrivial rank.  Computed as the transposed
-    cofactor matrix: every (k-1) x (k-1) minor is stacked and taken in one
-    batched determinant (at k = 1 the minors are empty and give exact ones).
+
+def _line_search(
+    Mt: np.ndarray, B: np.ndarray, MtB: np.ndarray, S_inv: np.ndarray, f: np.ndarray,
+    G: np.ndarray, step: np.ndarray, g2: np.ndarray, f_ref: np.ndarray, floor: float,
+) -> tuple[np.ndarray, ...]:
+    """Halve each frame's step until its retracted move passes the Armijo
+    test against ``f_ref`` and is not null.
+
+    A frame stalls once its move falls below rounding.  Returns the
+    accepted (B, Mt B, S^-1, f) and the stalled mask.
     """
-    k = s.shape[-1]
-    # rest[i] lists the indices other than i.
-    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
-    # minors[..., i, j] is s without row i and column j.
-    minors = s[..., rest[:, None, :, None], rest[None, :, None, :]]
-    sign = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
-    return np.swapaxes(sign * np.linalg.det(minors), -1, -2)
+    B, MtB, S_inv, f = B.copy(), MtB.copy(), S_inv.copy(), f.copy()
+    todo = np.ones(B.shape[0], dtype=bool)
+    stalled = np.zeros_like(todo)
+    while todo.any():
+        idx = np.flatnonzero(todo)
+        cand = _retract(B[idx] + step[idx, None, None] * G[idx])
+        MtB_c, S_inv_c, f_c, null_c = _log_det_images(Mt, cand, floor)
+        ok = ~null_c & (f_c >= f_ref[idx] + _ARMIJO * step[idx] * g2[idx])
+        acc = idx[ok]
+        B[acc], MtB[acc], S_inv[acc], f[acc] = cand[ok], MtB_c[ok], S_inv_c[ok], f_c[ok]
+        todo[acc] = False
+        rej = idx[~ok]
+        step[rej] /= 2.0
+        lost = rej[step[rej] * np.sqrt(g2[rej]) < _EPS]
+        todo[lost] = False
+        stalled[lost] = True
+    return B, MtB, S_inv, f, stalled
+
+
+def _log_det_images(
+    Mt: np.ndarray, B: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Mt B, S^-1, log det S, null) for a stack of frames, S = B' Mt B.
+
+    Mt B is one matrix product over every frame.  A frame is null when
+    det S <= 0 or an entry of S^-1 is at least 1 / ``floor``, which bounds
+    the smallest eigenvalue of S by ``floor`` without a decomposition.
+    """
+    r, n, k = B.shape
+    MtB = (Mt @ B.transpose(1, 0, 2).reshape(n, r * k)).reshape(n, r, k).transpose(1, 0, 2)
+    S = np.swapaxes(B, 1, 2) @ MtB
+    sign, f = np.linalg.slogdet(S)
+    null = sign <= 0
+    S_inv = np.zeros_like(S)
+    S_inv[~null] = np.linalg.inv(S[~null])
+    null |= np.abs(S_inv).max(axis=(1, 2), initial=0.0) * floor >= 1.0
+    return MtB, S_inv, f, null
+
+
+def _retract(X: np.ndarray) -> np.ndarray:
+    """Q factor of each frame in a stack, signed so that diag(R) >= 0."""
+    q, r = np.linalg.qr(X)
+    return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]

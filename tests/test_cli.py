@@ -166,6 +166,33 @@ def _extreme_tables():
     )
 
 
+def run_on_table(tmp_path_factory, table, *argv):
+    """Run ``argv`` on the normalized ``table`` with every warning recorded.
+
+    Asserts that no warning escaped, that the exit code is 0, 2 or 3, and
+    that a failure is exactly one JSON error object; returns the report, or
+    None on a failure.
+    """
+    probs = np.array(table, dtype=float)
+    if probs.sum() > 0:
+        probs /= probs.sum()
+    path = write_table(tmp_path_factory.mktemp("extreme"), "j.csv", probs)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([argv[0], path, *argv[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    assert caught == []
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert set(json.loads(err)) == {"schema", "error", "message"}
+        return None
+    assert err == ""
+    return json.loads(out)
+
+
 class TestComputeProperties:
     """Whatever the table, ``compute`` gives a consistent report or one error."""
 
@@ -174,25 +201,10 @@ class TestComputeProperties:
     # Marginals 1e-200 on both sides: their product underflows to 0.
     @example(table=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1e-200]])
     def test_report_or_one_structured_error(self, tmp_path_factory, table):
-        probs = np.array(table, dtype=float)
-        if probs.sum() > 0:
-            probs /= probs.sum()
-        path = write_table(tmp_path_factory.mktemp("extreme"), "j.csv", probs)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["compute", path])
-        out, err = out.getvalue(), err.getvalue()
-        assert caught == []
-        assert code in (0, 2, 3)
-        if code != 0:
-            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
-            assert set(json.loads(err)) == {"schema", "error", "message"}
+        report = run_on_table(tmp_path_factory, table, "compute")
+        if report is None:
             return
-        assert err == ""
-        report = json.loads(out)
-        n_x, n_y = probs.shape
+        n_x, n_y = np.shape(table)
         assert report["complete"] is (
             n_x <= n_y and report["order"] == len(report["sigma"])
         )
@@ -209,6 +221,23 @@ class TestComputeProperties:
         report = json.loads(out)
         assert report["sigma"] == [1.0, 1.0]
         assert report["complete"] is True
+
+
+class TestOracleProperties:
+    """Whatever the table, ``oracle`` audits the spectral value or fails
+    with one error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_extreme_tables(), m=st.integers(0, 2))
+    @example(table=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1e-200]], m=1)
+    def test_audit_or_one_structured_error(self, tmp_path_factory, table, m):
+        report = run_on_table(
+            tmp_path_factory, table, "oracle", "-m", str(m), "--restarts", "4"
+        )
+        if report is None:
+            return
+        spectral = report["spectral"]
+        assert abs(report["oracle"] - spectral) <= 1e-6 + 1e-8 * spectral
 
 
 class TestOneSpectrumPerReport:
@@ -484,6 +513,17 @@ class TestTransforms:
         assert error["error"] == "InvalidArgument"
         assert error["message"] == f"max_iter must be >= 1, got {max_iter}"
 
+    @pytest.mark.parametrize(
+        "text", ["0.3,0,0\n0,0.3,0\n0,0,0.4\n", "1e-300,0\n0,1\n"],
+        ids=["diagonal", "tiny-atom"],
+    )
+    def test_rho_is_at_most_one(self, capsys, tmp_path, text):
+        # Perfectly dependent tables: the correlation sum rounds past 1.
+        path = write(tmp_path, "j.csv", text)
+        _, out, _ = run_cli(capsys, "transforms", path)
+        _, spectrum, _ = run_cli(capsys, "compute", path)
+        assert json.loads(out)["pairs"][0]["rho"] == json.loads(spectrum)["sigma"][0] == 1.0
+
     def test_rho_matches_the_spectrum_on_every_fixture(self, capsys, tmp_path):
         for name, text in (("fixture", FIXTURE_CSV), ("weak", WEAK_CSV)):
             path = write(tmp_path, f"{name}.csv", text)
@@ -493,6 +533,12 @@ class TestTransforms:
 
 
 class TestOracle:
+    def test_default_report_is_schema_v1_with_an_empty_stderr(self, capsys, tmp_path):
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        code, out, err = run_cli(capsys, "oracle", path)
+        assert code == 0 and err == ""
+        assert set(json.loads(out)) == {"schema", "m", "oracle", "spectral"}
+
     def test_oracle_and_spectral_agree_on_the_fixture(self, capsys, tmp_path):
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
         code, out, _ = run_cli(capsys, "oracle", path)

@@ -5,12 +5,17 @@ ascent oracle are two independent evaluations of the same supremum; the
 heavier cross-checks live in the acceptance suite, the quick ones here.
 """
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    hadamard_joint,
     pearson_under,
+    random_finite_rank,
     random_independent,
     random_joint,
     random_partition,
@@ -29,7 +34,6 @@ from depscale import (
     normalized_matrix,
     singular_spectrum,
 )
-from depscale.spectral import _batch_adjugate
 
 FIXTURE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -226,42 +230,62 @@ def test_oracle_is_seed_reproducible():
     assert a == b
 
 
-class TestBatchAdjugate:
-    """The oracle's gradient needs adj(S), which stays finite at det S = 0."""
+class TestOracleRelativeAccuracy:
+    """The oracle is accurate relative to the value it audits, at every order,
+    and decides a zero maximum without running out its budget."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_invertible_stacks_match_det_times_inverse(self, k):
-        rng = np.random.default_rng(60 + k)
-        s = rng.standard_normal((50, k, k))
-        want = np.linalg.det(s)[:, None, None] * np.linalg.inv(s)
-        assert_allclose(_batch_adjugate(s), want, rtol=1e-9, atol=1e-12)
+    @pytest.mark.parametrize(
+        "kind, n, seed",
+        [("hadamard", 64, 1), ("hadamard", 256, 2), ("dirichlet", 64, 0), ("dirichlet", 64, 1)],
+    )
+    def test_relative_error_at_orders_0_to_3(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "hadamard":
+            # The near-tied leading spectrum of the benchmark's audit tables.
+            j = hadamard_joint(rng, n, 0.12 * 0.993 ** np.arange(8))
+        else:
+            j = random_joint(rng, n, n)
+        for m in range(4):
+            want = dependence_scale(j, m).d[m]
+            assert abs(gram_det_oracle(j, m) - want) <= 1e-8 * want, m
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_rank_deficient_stacks(self, k):
-        rng = np.random.default_rng(70 + k)
-        for rank in range(k):
-            a = rng.standard_normal((30, k, rank))
-            s = a @ rng.standard_normal((30, rank, k))
-            adj = _batch_adjugate(s)
-            # S adj(S) = adj(S) S = det(S) I = 0.
-            assert_allclose(s @ adj, 0.0, atol=1e-10)
-            assert_allclose(adj @ s, 0.0, atol=1e-10)
-            # adj(S) has rank 1 at rank k - 1 and vanishes below.
-            ranks = np.linalg.matrix_rank(adj, tol=1e-8)
-            assert np.all(ranks == (1 if rank == k - 1 else 0))
+    def test_weak_dependence_is_audited_relative_to_its_size(self):
+        # sigma_1 = 1e-6, so d[0] = 1e-12 sits far below any absolute tolerance.
+        e = 2.5e-7
+        j = make_joint([[0.25 + e, 0.25 - e], [0.25 - e, 0.25 + e]])
+        want = dependence_scale(j, 0).d[0]
+        assert abs(gram_det_oracle(j, 0) - want) <= 1e-8 * want
 
-    def test_one_by_one_gives_exact_ones(self):
-        s = np.array([[[0.0]], [[2.5]], [[-1e-300]], [[7.0]]])
-        adj = _batch_adjugate(s)
-        assert adj.shape == s.shape
-        assert np.array_equal(adj, np.ones_like(s))
+    @pytest.mark.parametrize("n, rank", [(8, 1), (8, 2), (64, 2)])
+    def test_zero_maximum_beyond_the_rank(self, n, rank):
+        j = random_finite_rank(np.random.default_rng(40 + rank), rank, n, n)
+        for m in (rank, rank + 1):
+            assert gram_det_oracle(j, m) <= 1e-12, m
 
-    def test_symmetric_stack_gives_symmetric_adjugate(self):
-        rng = np.random.default_rng(80)
-        b = rng.standard_normal((20, 6, 3))
-        s = np.swapaxes(b, 1, 2) @ b
-        adj = _batch_adjugate(s)
-        assert_allclose(adj, np.swapaxes(adj, 1, 2), atol=1e-12)
+
+class TestOracleLog:
+    """One DEBUG record per call on the ``depscale`` logger, silent by default."""
+
+    def test_one_debug_record_with_the_restart_counts(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="depscale"):
+            gram_det_oracle(make_joint(FIXTURE), 0, restarts=4)
+        (record,) = caplog.records
+        assert record.name == "depscale" and record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"gram_det_oracle m=0: 4 of 4 restarts converged, 0 null, \d+ iterations",
+            record.getMessage(),
+        )
+
+    def test_null_restarts_are_counted(self, caplog):
+        j = random_finite_rank(np.random.default_rng(41), 1, 6, 6)
+        with caplog.at_level(logging.DEBUG, logger="depscale"):
+            assert gram_det_oracle(j, 1, restarts=4) == 0.0
+        (record,) = caplog.records
+        assert "0 of 4 restarts converged, 4 null" in record.getMessage()
+
+    def test_silent_by_default(self, caplog):
+        gram_det_oracle(make_joint(FIXTURE), 0, restarts=4)
+        assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------
