@@ -34,6 +34,7 @@ from depscale import (
     normalized_matrix,
     singular_spectrum,
 )
+from depscale.spectral import _EPS, _log_det_images, _retract
 
 FIXTURE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -228,6 +229,51 @@ def test_oracle_is_seed_reproducible():
     a = gram_det_oracle(j, 0, restarts=4, seed=5)
     b = gram_det_oracle(j, 0, restarts=4, seed=5)
     assert a == b
+
+
+def _images(Mt, B):
+    n = Mt.shape[0]
+    floor = 64 * n * _EPS * (np.linalg.norm(Mt) + n * _EPS)
+    return _log_det_images(Mt, B, floor)
+
+
+class TestBatchAdjugate:
+    """The oracle's gradient needs adj(S) / det S = S^-1 for every frame of
+    a stack; a frame with det S = 0 is null rather than divided by zero."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_invertible_stacks_match_det_times_inverse(self, k):
+        rng = np.random.default_rng(60 + k)
+        a = rng.standard_normal((8, 8))
+        Mt = a @ a.T
+        B = _retract(rng.standard_normal((50, 8, k)))
+        MtB, S_inv, f, null = _images(Mt, B)
+        assert not null.any()
+        assert_allclose(MtB, np.einsum("ij,rjk->rik", Mt, B), rtol=1e-12, atol=1e-12)
+        s = np.swapaxes(B, 1, 2) @ Mt @ B
+        det = np.linalg.det(s)
+        assert_allclose(f, np.log(det), rtol=1e-12, atol=1e-12)
+        want = det[:, None, None] * np.linalg.inv(s)
+        assert_allclose(np.exp(f)[:, None, None] * S_inv, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rank_deficient_stacks(self, k):
+        rng = np.random.default_rng(70 + k)
+        for rank in range(k):
+            a = rng.standard_normal((12, rank))
+            B = _retract(rng.standard_normal((30, 12, k)))
+            # S = B' a a' B has rank at most rank < k, so det S = 0.
+            MtB, S_inv, f, null = _images(a @ a.T, B)
+            assert null.all(), rank
+            assert np.isfinite(MtB).all() and np.isfinite(S_inv).all()
+
+    def test_symmetric_stack_gives_symmetric_adjugate(self):
+        rng = np.random.default_rng(80)
+        w = rng.standard_normal((10, 6))
+        B = _retract(rng.standard_normal((20, 10, 3)))
+        _, S_inv, _, null = _images(w @ w.T, B)
+        assert not null.any()
+        assert_allclose(S_inv, np.swapaxes(S_inv, 1, 2), rtol=1e-12, atol=1e-12)
 
 
 class TestOracleRelativeAccuracy:
