@@ -7,15 +7,26 @@ from the container it feeds) — no silent coercion.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import os
+import sys
+from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
 from .joints import DiscreteJoint, GaussianJoint, make_joint
+
+#: A numeric body of at least this many bytes is parsed in two halves at
+#: once, one of them in a forked child, when more than one CPU is usable.
+#: The fork, the pipe and the join cost a few milliseconds; on a 2-vCPU x86
+#: VM the split broke even at 0.4-1.7 MB of body, depending on the cell
+#: format, and 2 MB keeps a margin (CHANGES.md has the measurements).
+_SPLIT_BYTES = 2_000_000
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
@@ -23,6 +34,7 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if _nonblank(row)]
+            size = os.fstat(fh.fileno()).st_size
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -32,44 +44,160 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise FormatError(f"{path} is ragged: rows have differing cell counts")
+    _log_read(path, "per cell", len(rows), width, size)
     return [[c.strip() for c in r] for r in rows]
 
 
 def _read_grid(
     path: str | Path, is_header: Callable[[list[str]], bool]
 ) -> tuple[list[str] | None, np.ndarray] | None:
-    """Header (or None) and numeric body of a plain grid, parsed in one numpy pass.
+    """Header (or None) and numeric body of a plain grid, parsed by ``np.loadtxt``.
 
     The first non-blank row goes through ``csv``; ``is_header`` decides
-    whether it names the columns, and otherwise it must be numeric.  The
-    rest is one ``np.loadtxt`` call.  Returns None when that parse fails or
-    comes back at another width, when the first row is neither header nor
-    numbers, or when no row follows it: the per-cell path (:func:`_read_rows`)
-    then reads the file, so such files get exactly its result or its error.
+    whether it names the columns, and otherwise it must be numeric and is
+    the body's first row.  The file is read through one handle, so a pipe
+    works too.  Returns None when the body's parse fails or comes back at
+    another width, when the first row is neither header nor numbers, or when
+    no row follows it: the per-cell path (:func:`_read_rows`) then reads the
+    file, so such files get exactly its result or its error.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            first = next((row for row in csv.reader(fh) if _nonblank(row)), None)
-            if first is None:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
+            start = len(codecs.BOM_UTF8) if fh.peek(3)[:3] == codecs.BOM_UTF8 else 0
+            fh.read(start)
+            record: list[bytes] = []  # the raw lines of the row csv is reading
+
+            def lines():
+                for line in fh:
+                    record.append(line)
+                    yield line.decode()
+
+            for first in csv.reader(lines()):
+                if _nonblank(first):
+                    break
+                start += sum(map(len, record))
+                record.clear()
+            else:
                 return None
             first = [c.strip() for c in first]
             header = is_header(first)
             if not header and not all(_is_number(c) for c in first):
                 return None
-            # Peek past blank lines: loadtxt warns on an input with no rows.
-            line = next((ln for ln in fh if ln.strip()), None)
-            if line is None:
+            # A row must follow: loadtxt warns on an input with no rows.
+            skipped, row = _next_row(fh)
+            if row is None:
                 return None
-            body = np.loadtxt(
-                chain([line], fh), delimiter=",", comments=None, ndmin=2, dtype=float
-            )
-    except (OSError, ValueError):
+            if header:
+                start += sum(map(len, record)) + skipped
+            head = [row] if header else [*record, row]
+            body, how = _parse_body(fh, head, start, _split_point(fh, start, size))
+    except (OSError, ValueError, csv.Error):
         return None
     if body.shape[1] != len(first):
         return None
-    if header:
-        return first, body
-    return None, np.concatenate([np.array([[float(c) for c in first]]), body])
+    _log_read(path, how, body.shape[0] + header, body.shape[1], size)
+    return (first if header else None), body
+
+
+def _next_row(fh: BinaryIO) -> tuple[int, bytes | None]:
+    """The next non-blank line of the binary file ``fh`` (None at the end),
+    after how many bytes of blank lines."""
+    skipped = 0
+    for line in fh:
+        if line.decode().strip():
+            return skipped, line
+        skipped += len(line)
+    return skipped, None
+
+
+def _split_point(fh: BinaryIO, start: int, size: int) -> int | None:
+    """The first line start after the middle of the body from byte ``start``
+    to ``size``, with a row after it; None when the body is small, one CPU
+    is usable or the platform cannot fork.  Leaves ``fh`` where it was."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if size - start < _SPLIT_BYTES or cpus < 2 or not hasattr(os, "fork"):
+        return None
+    here = fh.tell()
+    fh.seek((start + size - 1) // 2)  # the byte before the middle, or start
+    fh.readline()
+    mid = fh.tell()
+    has_row = _next_row(fh)[1] is not None
+    fh.seek(here)
+    return mid if has_row else None
+
+
+def _loadtxt(fh: BinaryIO, head: Sequence[bytes] = ()) -> np.ndarray:
+    """One ``np.loadtxt`` pass over the lines ``head`` and then the rest of
+    the binary stream ``fh``, which it closes."""
+    with TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        return np.loadtxt(
+            chain(map(bytes.decode, head), text),
+            delimiter=",", comments=None, ndmin=2, dtype=float,
+        )
+
+
+def _parse_body(
+    fh: BinaryIO, head: list[bytes], start: int, mid: int | None
+) -> tuple[np.ndarray, str]:
+    """The grid whose first lines ``head`` were read from ``fh`` from byte
+    ``start`` on, and how it was parsed.
+
+    With no ``mid``, one pass over ``head`` and the rest of ``fh``.
+    Otherwise the bytes ``[start, mid)`` are read, and a forked child parses
+    them while this process parses the rest; the child sends its shape and
+    float64 bytes down a pipe.  Both halves go through the same parser, so
+    the values are those of one pass.  A failed child (an error, a short
+    read, a nonzero exit) raises ValueError; a failed fork falls back to one
+    pass.
+    """
+    if mid is None:
+        return _loadtxt(fh, head), "one pass"
+    fh.seek(start)
+    half = fh.read(mid - start)  # the child's half, read before the fork
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        fh.seek(start)
+        return _loadtxt(fh), "one pass"
+    if pid == 0:  # the child only parses and sends; it never returns
+        code = 1
+        try:
+            os.close(r)  # so that its write fails once the parent closes r
+            rows = _loadtxt(BytesIO(half))
+            with open(w, "wb") as out:
+                out.write(np.array(rows.shape, dtype=np.int64).tobytes())
+                out.write(rows)
+            code = 0
+        finally:
+            os._exit(code)
+    del half
+    os.close(w)
+    try:
+        with open(r, "rb") as src:
+            tail = _loadtxt(fh)  # from mid, where the read above stopped
+            shape = np.frombuffer(src.read(16), dtype=np.int64)
+            rows = np.empty(shape) if shape.size == 2 else None
+            received = rows is not None and src.readinto(rows) == rows.nbytes
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status or not received:
+        raise ValueError("the child's half of the grid was not received")
+    return np.concatenate([rows, tail]), "two processes"
+
+
+def _log_read(path: str | Path, how: str, rows: int, cols: int, size: int) -> None:
+    # A record can reach a handler only once logging has been imported (and
+    # configured); importing it here would add ~3 ms to every CLI start.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("depscale").debug(
+            "read %s: %s, %d x %d cells, %d bytes", path, how, rows, cols, size
+        )
 
 
 def _nonblank(row: list[str]) -> bool:

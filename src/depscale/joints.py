@@ -81,7 +81,8 @@ class DiscreteJoint:
             raise NotNormalizedError(
                 f"joint table mass is {float(total)!r}, outside 1 +/- {INPUT_MASS_TOL}"
             )
-        p = _frozen_array(p / total)  # exact renormalization after validation
+        p = p / total  # exact renormalization after validation; a new array
+        p.flags.writeable = False
         for name, axis, atom in (("p_x", 1, "row"), ("p_y", 0, "column")):
             marginal = p.sum(axis=axis)
             if np.any(marginal <= 0):

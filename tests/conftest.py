@@ -1,4 +1,4 @@
-"""Shared generators for random test instances.
+"""Shared generators for random test instances, and a guard on child processes.
 
 Everything here is deterministic given the caller's Generator, so tests can
 freeze seeds and stay reproducible.
@@ -6,9 +6,31 @@ freeze seeds and stay reproducible.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from depscale import DiscreteJoint, make_finite_rank_joint, make_joint
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves an exited child process unreaped (a zombie).
+
+    The check reaps every zombie it finds, so the next test starts clean.
+    """
+    yield
+    zombies = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child processes at all
+            break
+        if pid == 0:  # children left, none of them exited
+            break
+        zombies.append(pid)
+    assert zombies == [], f"exited child processes were not reaped: {zombies}"
 
 
 def random_joint(rng: np.random.Generator, n_x: int, n_y: int) -> DiscreteJoint:

@@ -167,21 +167,26 @@ def _extreme_tables():
 
 
 def run_on_table(tmp_path_factory, table, *argv):
-    """Run ``argv`` on the normalized ``table`` with every warning recorded.
+    """Run ``argv`` on the normalized ``table``; see :func:`run_checked`."""
+    probs = np.array(table, dtype=float)
+    if probs.sum() > 0:
+        probs /= probs.sum()
+    path = write_table(tmp_path_factory.mktemp("extreme"), "j.csv", probs)
+    return run_checked(argv[0], path, *argv[1:])
+
+
+def run_checked(cmd, path, *args):
+    """Run ``cmd`` on ``path`` with every warning recorded.
 
     Asserts that no warning escaped, that the exit code is 0, 2 or 3, and
     that a failure is exactly one JSON error object; returns the report, or
     None on a failure.
     """
-    probs = np.array(table, dtype=float)
-    if probs.sum() > 0:
-        probs /= probs.sum()
-    path = write_table(tmp_path_factory.mktemp("extreme"), "j.csv", probs)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([argv[0], path, *argv[1:]])
+        code = main([cmd, str(path), *args])
     out, err = out.getvalue(), err.getvalue()
     assert caught == []
     assert code in (0, 2, 3)
@@ -238,6 +243,80 @@ class TestOracleProperties:
             return
         spectral = report["spectral"]
         assert abs(report["oracle"] - spectral) <= 1e-6 + 1e-8 * spectral
+
+
+@st.composite
+def _quirky_samples(draw):
+    """A small samples CSV with the quirks real exports carry: a BOM, CRLF
+    line ends, blank lines, an NA or empty cell, a categorical column and
+    trailing commas.  Returns the text and its rows of cells."""
+    n = draw(st.integers(1, 12))
+    numeric = st.one_of(st.integers(-3, 3).map(str), st.floats(-1e3, 1e3).map(repr))
+    kinds = draw(st.lists(st.booleans(), min_size=2, max_size=3))  # True: categorical
+    cols = [draw(st.lists(st.sampled_from("abc") if cat else numeric, min_size=n, max_size=n))
+            for cat in kinds]
+    rows = [list(r) for r in zip(*cols)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, len(cols) - 1))] = \
+            draw(st.sampled_from(["NA", ""]))
+    if draw(st.booleans()):
+        rows.insert(0, [f"c{i}" for i in range(len(cols))])
+    comma = draw(st.sampled_from(["none", "all", "one"]))
+    for row in rows[: {"none": 0, "all": len(rows), "one": 1}[comma]]:
+        row.append("")
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + newline, rows
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _distinct(cells):
+    """How many atoms the categorical strategy makes of a column's cells."""
+    try:
+        return len({float(c) for c in cells})
+    except ValueError:
+        return len({c.strip() for c in cells})
+
+
+class TestEstimateProperties:
+    """Whatever the quirks of a samples file, ``estimate`` gives a
+    consistent report or one structured error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sample=_quirky_samples(), bins=st.integers(2, 4),
+           strategy=st.sampled_from(["quantile", "uniform-width", "categorical"]))
+    def test_report_or_one_structured_error(self, tmp_path_factory, sample, bins,
+                                            strategy):
+        text, rows = sample
+        path = tmp_path_factory.mktemp("quirks") / "s.csv"
+        path.write_bytes(text.encode())
+        report = run_checked("estimate", path, "--x", "0", "--y", "1",
+                             "--bins", str(bins), "--strategy", strategy)
+        if report is None:
+            return
+        # A first row with a non-numeric cell is a header, and a header
+        # naming a column "0" or "1" is selected by name.
+        names = [c.strip() for c in rows[0]]
+        header = not all(_is_number(c) for c in names)
+        body = rows[1:] if header else rows
+        assert report["n"] == len(body)
+        n_x, n_y = report["bins"]
+        if strategy == "categorical":
+            x, y = (names.index(k) if header and k in names else int(k) for k in "01")
+            assert [n_x, n_y] == [_distinct([r[x] for r in body]),
+                                  _distinct([r[y] for r in body])]
+        assert len(report["sigma"]) == min(n_x, n_y) - 1
+        assert report["D"][0] == report["R"] ** 2
 
 
 class TestOneSpectrumPerReport:

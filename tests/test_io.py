@@ -1,5 +1,9 @@
 """CSV loaders for joint tables, covariance blocks, and sample columns."""
 
+import logging
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +60,21 @@ class TestLoadJointCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_joint_csv(tmp_path / "absent.csv")
+
+    # A pipe cannot be reopened or rewound: the grid is read in one pass.
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize(
+        "text", ["0.4,0.1\n0.1,0.4\n", "u,v\n0.4,0.1\n\n0.1,0.4\n", "\ufeff0.4,0.1\n0.1,0.4\n"]
+    )
+    def test_reads_a_pipe(self, text):
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            j = load_joint_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert_allclose(j.probs, [[0.4, 0.1], [0.1, 0.4]])
 
 
 class TestLoadCovarianceCsv:
@@ -216,42 +235,65 @@ def _outcome(load, *args):
 _FORMATS = {"repr": repr, "%.6f": "%.6f".__mod__, "%.25e": "%.25e".__mod__}
 
 
+_GRIDS = dict(
+    grid=st.integers(2, 5).flatmap(
+        lambda w: st.lists(
+            st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=w, max_size=w),
+            min_size=2, max_size=12,
+        )
+    ),
+    fmt=st.sampled_from(sorted(_FORMATS)),
+    header=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline):
+    """All three loaders give the per-cell path's bytes, or its error."""
+    lines = [",".join(map(_FORMATS[fmt], row)) for row in grid]
+    if header:
+        lines.insert(0, ",".join(f"c{i}" for i in range(len(grid[0]))))
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    assert depscale.io._read_grid(path, depscale.io._samples_header) is not None
+    assert _outcome(load_samples_csv, path) == _outcome(
+        _per_cell, load_samples_csv, path
+    )
+    # Mass and sign do not matter here: both paths must fail alike too.
+    for load, args in ((load_joint_csv, (path,)), (load_covariance_csv, (path, 1))):
+        try:
+            want = _outcome(_per_cell, load, *args)
+        except DepscaleError as exc:
+            with pytest.raises(type(exc)) as got:
+                _outcome(load, *args)
+            assert str(got.value) == str(exc)
+        else:
+            assert _outcome(load, *args) == want
+
+
+def _force_split(mp):
+    """Split every body with a row on each side of its middle, on any host."""
+    mp.setattr(depscale.io, "_SPLIT_BYTES", 0)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 class TestOnePassParse:
     """The one-pass numeric parse gives exactly what the per-cell path gives."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        grid=st.integers(2, 5).flatmap(
-            lambda w: st.lists(
-                st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=w, max_size=w),
-                min_size=2, max_size=12,
-            )
-        ),
-        fmt=st.sampled_from(sorted(_FORMATS)),
-        header=st.booleans(),
-        newline=st.sampled_from(["\n", "\r\n"]),
-    )
+    @given(**_GRIDS)
     def test_numeric_grids_are_bit_identical(self, tmp_path_factory, grid, fmt, header,
                                              newline):
-        lines = [",".join(map(_FORMATS[fmt], row)) for row in grid]
-        if header:
-            lines.insert(0, ",".join(f"c{i}" for i in range(len(grid[0]))))
-        path = tmp_path_factory.mktemp("grid") / "g.csv"
-        path.write_bytes((newline.join(lines) + newline).encode())
-        assert depscale.io._read_grid(path, depscale.io._samples_header) is not None
-        assert _outcome(load_samples_csv, path) == _outcome(
-            _per_cell, load_samples_csv, path
-        )
-        # Mass and sign do not matter here: both paths must fail alike too.
-        for load, args in ((load_joint_csv, (path,)), (load_covariance_csv, (path, 1))):
-            try:
-                want = _outcome(_per_cell, load, *args)
-            except DepscaleError as exc:
-                with pytest.raises(type(exc)) as got:
-                    _outcome(load, *args)
-                assert str(got.value) == str(exc)
-            else:
-                assert _outcome(load, *args) == want
+        _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+    @settings(max_examples=60, deadline=None)
+    @given(**_GRIDS)
+    def test_split_grids_are_bit_identical(self, tmp_path_factory, grid, fmt, header,
+                                           newline):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_split(mp)
+            _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline)
 
     # Each body holds a spelling numpy rejects or a shape it cannot take in
     # one pass; the loader must give what the per-cell path gives.
@@ -298,3 +340,117 @@ class TestOnePassParse:
         path = write(tmp_path, "c.csv", "1,0.5\n0.5,one\n")
         with pytest.raises(FormatError, match="covariance CSV must be purely numeric"):
             load_covariance_csv(path, 1)
+
+
+def _path_taken(caplog, load, *args):
+    """``load``'s outcome and the parse path its DEBUG record names (None
+    when the load failed before any record)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="depscale"):
+        outcome = _outcome(load, *args)
+    how = [re.match(r"read .*: (.*), \d+ x \d+ cells", r.getMessage())[1]
+           for r in caplog.records]
+    caplog.clear()
+    assert len(how) <= 1
+    return outcome, (how or [None])[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestTwoProcessParse:
+    """A body split across a forked child gives the per-cell path's outcome."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the split and count the forks."""
+        _force_split(monkeypatch)
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    ROWS = "".join(f"{i / 1e3!r},{(7 * i) % 10}\n" for i in range(40))
+
+    # name: text, the path taken, forks made
+    CASES = {
+        "header and rows": ("x,y\n" + ROWS, "two processes", 1),
+        "numeric first row after a BOM": ("﻿" + ROWS, "two processes", 1),
+        "CRLF line ends": (("x,y\n" + ROWS).replace("\n", "\r\n"), "two processes", 1),
+        "bad cell in the second half": ("x,y\n" + ROWS + "0.5,oops\n", "per cell", 1),
+        "ragged second half": ("x,y\n" + ROWS + "0.5,1,2\n", None, 1),
+        "body of one long line": (
+            ",".join(f"c{i}" for i in range(300)) + "\n" + ",".join(["0.5"] * 300) + "\n",
+            "one pass", 0,
+        ),
+        "trailing blank lines": ("x,y\n1,2\n3,4\n" + "\n" * 40 + "\r\n" * 40, "one pass", 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_outcome_matches_the_per_cell_path(self, tmp_path, caplog, forks, name):
+        text, path_taken, n_forks = self.CASES[name]
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        got, how = _path_taken(caplog, load_samples_csv, path)
+        assert (how, len(forks)) == (path_taken, n_forks)
+        assert got == _outcome(_per_cell, load_samples_csv, path)
+
+    def test_bad_cell_keeps_the_joint_error(self, tmp_path, forks):
+        path = tmp_path / "j.csv"
+        path.write_text(self.ROWS + "0.5,oops\n")
+        assert depscale.io._read_grid(path, depscale.io._joint_header) is None
+        assert len(forks) == 1
+        with pytest.raises(FormatError) as got:
+            load_joint_csv(path)
+        assert got.value.args == (
+            f"{path}: non-numeric cell in table body "
+            "(could not convert string to float: 'oops')",
+        )
+
+    def test_failed_fork_parses_in_one_pass(self, tmp_path, caplog, monkeypatch):
+        _force_split(monkeypatch)
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n" + self.ROWS)
+        got, how = _path_taken(caplog, load_samples_csv, path)
+        assert how == "one pass"
+        assert got == _outcome(_per_cell, load_samples_csv, path)
+
+
+class TestReadLog:
+    """One DEBUG record per load on the ``depscale`` logger, silent by default."""
+
+    @pytest.mark.parametrize(
+        "text, how, cells",
+        [
+            ("x,y\n1,2\n3,4\n", "one pass", "3 x 2"),
+            ("x,tag\n1,a\n3,b\n", "per cell", "3 x 2"),
+        ],
+    )
+    def test_one_record_names_the_path(self, tmp_path, caplog, text, how, cells):
+        path = write(tmp_path, "s.csv", text)
+        with caplog.at_level(logging.DEBUG, logger="depscale"):
+            load_samples_csv(path)
+        (record,) = caplog.records
+        assert record.name == "depscale" and record.levelno == logging.DEBUG
+        assert record.getMessage() == f"read {path}: {how}, {cells} cells, {len(text)} bytes"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+    def test_two_processes(self, tmp_path, caplog, monkeypatch):
+        _force_split(monkeypatch)
+        path = write(tmp_path, "j.csv", "0.4,0.1\n0.1,0.4\n")
+        with caplog.at_level(logging.DEBUG, logger="depscale"):
+            load_joint_csv(path)
+        (record,) = caplog.records
+        assert record.getMessage() == f"read {path}: two processes, 2 x 2 cells, 16 bytes"
+
+    def test_silent_by_default(self, tmp_path, caplog):
+        load_samples_csv(write(tmp_path, "s.csv", "x,y\n1,2\n3,4\n"))
+        assert caplog.records == []

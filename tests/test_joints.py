@@ -69,6 +69,12 @@ class TestMakeJoint:
         with pytest.raises(ValueError):
             j.probs[0, 0] = 1.0
 
+    def test_probs_do_not_share_the_callers_array(self):
+        table = np.array([[0.25, 0.25], [0.25, 0.25]])
+        j = make_joint(table)
+        table[0, 0] = 0.5
+        assert j.probs[0, 0] == 0.25 and table.flags.writeable
+
     def test_transposed_swaps_sides(self):
         j = make_joint([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]])
         t = j.transposed()
