@@ -29,8 +29,8 @@ def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
     if g.is_scalar:
         return gaussian_r(g) ** 2
-    wx, vx = np.linalg.eigh((g.v11 + g.v11.T) / 2.0)
-    wy, vy = np.linalg.eigh((g.v22 + g.v22.T) / 2.0)
+    wx, vx = np.linalg.eigh(g.v11 / 2.0 + g.v11.T / 2.0)
+    wy, vy = np.linalg.eigh(g.v22 / 2.0 + g.v22.T / 2.0)
     isq = (vx / np.sqrt(wx)) @ vx.T
     sigma = isq @ g.v12 @ ((vy / wy) @ vy.T) @ g.v12.T @ isq
     w = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)

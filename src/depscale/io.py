@@ -10,16 +10,15 @@ from __future__ import annotations
 import codecs
 import csv
 import os
-import sys
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
-from .joints import DiscreteJoint, GaussianJoint, make_joint
+from .joints import DiscreteJoint, GaussianJoint, _debug_logger, make_joint
 
 #: A numeric body of at least this many bytes is parsed in two halves at
 #: once, one of them in a forked child, when more than one CPU is usable.
@@ -29,12 +28,29 @@ from .joints import DiscreteJoint, GaussianJoint, make_joint
 _SPLIT_BYTES = 2_000_000
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _source(path: str | Path) -> bytes | None:
+    """The bytes behind ``path`` when it is a stream that cannot seek (a
+    pipe), else None: a pipe can be read only once, and the per-cell path
+    must read the bytes the numeric pass read."""
+    try:
+        with open(path, "rb") as fh:
+            return None if fh.seekable() else fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _open_binary(path: str | Path, data: bytes | None) -> BinaryIO:
+    """``path`` opened for reading, or the bytes :func:`_source` kept of it."""
+    return open(path, "rb") if data is None else BytesIO(data)
+
+
+def _read_rows(path: str | Path, data: bytes | None = None) -> list[list[str]]:
     """Every non-blank row as stripped cells: the per-cell path."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with TextIOWrapper(_open_binary(path, data), encoding="utf-8-sig",
+                           newline="") as fh:
             rows = [row for row in csv.reader(fh) if _nonblank(row)]
-            size = os.fstat(fh.fileno()).st_size
+            size = fh.buffer.seek(0, os.SEEK_END)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -49,27 +65,28 @@ def _read_rows(path: str | Path) -> list[list[str]]:
 
 
 def _read_grid(
-    path: str | Path, is_header: Callable[[list[str]], bool]
+    path: str | Path, is_header: Callable[[list[str]], bool], data: bytes | None = None
 ) -> tuple[list[str] | None, np.ndarray] | None:
     """Header (or None) and numeric body of a plain grid, parsed by ``np.loadtxt``.
 
     The first non-blank row goes through ``csv``; ``is_header`` decides
     whether it names the columns, and otherwise it must be numeric and is
-    the body's first row.  The file is read through one handle, so a pipe
-    works too.  Returns None when the body's parse fails or comes back at
-    another width, when the first row is neither header nor numbers, or when
-    no row follows it: the per-cell path (:func:`_read_rows`) then reads the
-    file, so such files get exactly its result or its error.
+    the body's first row.  ``data`` is what :func:`_source` kept of a pipe.
+    Returns None when the body's parse fails or comes back at another width,
+    when the first row is neither header nor numbers, or when no row follows
+    it: the per-cell path (:func:`_read_rows`) then reads the same bytes, so
+    such files get exactly its result or its error.
     """
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-            start = len(codecs.BOM_UTF8) if fh.peek(3)[:3] == codecs.BOM_UTF8 else 0
-            fh.read(start)
+        with _open_binary(path, data) as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(0)
+            start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+            fh.seek(start)
             record: list[bytes] = []  # the raw lines of the row csv is reading
 
             def lines():
-                for line in fh:
+                for line in _lines(fh):
                     record.append(line)
                     yield line.decode()
 
@@ -80,6 +97,7 @@ def _read_grid(
                 record.clear()
             else:
                 return None
+            fh.seek(start + sum(map(len, record)))
             first = [c.strip() for c in first]
             header = is_header(first)
             if not header and not all(_is_number(c) for c in first):
@@ -100,12 +118,21 @@ def _read_grid(
     return (first if header else None), body
 
 
+def _lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The lines of the binary file ``fh`` from where it stands, each ending
+    at LF, CRLF or a bare CR, as the per-cell path's ``csv`` reads them."""
+    for line in fh:
+        yield from line.splitlines(keepends=True)
+
+
 def _next_row(fh: BinaryIO) -> tuple[int, bytes | None]:
     """The next non-blank line of the binary file ``fh`` (None at the end),
-    after how many bytes of blank lines."""
+    after how many bytes of blank lines; ``fh`` is left just past it."""
+    here = fh.tell()
     skipped = 0
-    for line in fh:
+    for line in _lines(fh):
         if line.decode().strip():
+            fh.seek(here + skipped + len(line))
             return skipped, line
         skipped += len(line)
     return skipped, None
@@ -120,9 +147,10 @@ def _split_point(fh: BinaryIO, start: int, size: int) -> int | None:
     if size - start < _SPLIT_BYTES or cpus < 2 or not hasattr(os, "fork"):
         return None
     here = fh.tell()
-    fh.seek((start + size - 1) // 2)  # the byte before the middle, or start
-    fh.readline()
-    mid = fh.tell()
+    before_middle = (start + size - 1) // 2  # the byte before the middle, or start
+    fh.seek(before_middle)
+    mid = before_middle + len(next(_lines(fh), b""))
+    fh.seek(mid)
     has_row = _next_row(fh)[1] is not None
     fh.seek(here)
     return mid if has_row else None
@@ -191,13 +219,9 @@ def _parse_body(
 
 
 def _log_read(path: str | Path, how: str, rows: int, cols: int, size: int) -> None:
-    # A record can reach a handler only once logging has been imported (and
-    # configured); importing it here would add ~3 ms to every CLI start.
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("depscale").debug(
-            "read %s: %s, %d x %d cells, %d bytes", path, how, rows, cols, size
-        )
+    log = _debug_logger()
+    if log is not None:
+        log.debug("read %s: %s, %d x %d cells, %d bytes", path, how, rows, cols, size)
 
 
 def _nonblank(row: list[str]) -> bool:
@@ -234,10 +258,11 @@ def load_joint_csv(path: str | Path) -> DiscreteJoint:
     remaining cell must parse as a number; validation and renormalization
     happen in :func:`depscale.joints.make_joint`.
     """
-    grid = _read_grid(path, _joint_header)
+    data = _source(path)
+    grid = _read_grid(path, _joint_header, data)
     if grid is not None:
         return make_joint(grid[1])
-    rows = _read_rows(path)
+    rows = _read_rows(path, data)
     body = rows[1:] if _joint_header(rows[0]) else rows
     if not body:
         raise FormatError(f"{path} has a header but no data rows")
@@ -252,11 +277,12 @@ def load_joint_csv(path: str | Path) -> DiscreteJoint:
 
 def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:
     """Read a full (m+n) x (m+n) covariance matrix and split it at ``dim_x``."""
-    grid = _read_grid(path, _no_header)
+    data = _source(path)
+    grid = _read_grid(path, _no_header, data)
     if grid is not None:
         full = grid[1]
     else:
-        rows = _read_rows(path)
+        rows = _read_rows(path, data)
         try:
             full = np.array([[float(c) for c in r] for r in rows])
         except ValueError as exc:
@@ -286,11 +312,12 @@ def load_samples_csv(
     come back as float arrays, anything else as object arrays of strings.
     A header row is detected by non-numeric cells.
     """
-    grid = _read_grid(path, _samples_header)
+    data = _source(path)
+    grid = _read_grid(path, _samples_header, data)
     if grid is not None and grid[1].shape[1] >= 2:
         names, body = grid
         return names, list(body.T.copy())
-    rows = _read_rows(path)
+    rows = _read_rows(path, data)
     if len(rows[0]) < 2:
         raise FormatError(f"{path}: need at least 2 columns (X and Y)")
     header = _samples_header(rows[0])

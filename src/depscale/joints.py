@@ -14,8 +14,9 @@ the contract of :func:`make_joint`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Any, Literal, Sequence
 
 import numpy as np
 
@@ -37,6 +38,16 @@ def check_tol(tol: float) -> None:
     """Reject a numerical tolerance that is negative or not finite."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {float(tol)!r}")
+
+
+def _debug_logger() -> Any:
+    """The ``depscale`` logger, or None while logging is not imported.
+
+    A record can reach a handler only once logging has been imported (and
+    configured); importing it here would add ~3 ms to every CLI start.
+    """
+    logging = sys.modules.get("logging")
+    return None if logging is None else logging.getLogger("depscale")
 
 
 def _frozen_array(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -203,15 +214,19 @@ class GaussianJoint:
             raise InvalidBlockError(
                 f"inconsistent block shapes {v11.shape}, {v12.shape}, {v22.shape}"
             )
+        if not all(np.all(np.isfinite(b)) for b in (v11, v12, v22)):
+            raise NotPositiveDefiniteError("covariance blocks contain non-finite entries")
         for name, block in (("v11", v11), ("v22", v22)):
             if not np.allclose(block, block.T, atol=1e-10, rtol=0.0):
                 raise NotPositiveDefiniteError(f"{name} is not symmetric")
-            if np.min(np.linalg.eigvalsh((block + block.T) / 2.0)) <= 1e-12:
+            # The eigenvalues lambda_max takes square roots of: eigh of the
+            # same halves, which do not overflow near the float maximum.
+            if np.linalg.eigh(block / 2.0 + block.T / 2.0)[0][0] <= 1e-12:
                 raise NotPositiveDefiniteError(
                     f"{name} has an eigenvalue at or below the 1e-12 floor"
                 )
         full = np.block([[v11, v12], [v12.T, v22]])
-        if np.min(np.linalg.eigvalsh((full + full.T) / 2.0)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(full / 2.0 + full.T / 2.0)) < -1e-10:
             raise NotPositiveDefiniteError(
                 "assembled block covariance is not positive semidefinite"
             )

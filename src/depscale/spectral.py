@@ -29,18 +29,35 @@ the other.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import DiscreteJoint, _frozen_array, check_tol, conditional_matrix
+from .joints import DiscreteJoint, _debug_logger, _frozen_array, check_tol, conditional_matrix
 
 #: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
 SPECTRUM_SLACK = 1e-10
 
 #: Default threshold below which a singular value is treated as zero.
 DEFAULT_ORDER_TOL = 1e-10
+
+#: A normalized table of at least this many cells has the SVDs of Q and Qc
+#: run side by side, Q's on a second thread, with numpy's OpenBLAS held to
+#: one thread for the pair.  On a 2-vCPU x86 VM the pair broke even at about
+#: 128 x 128 cells, took 0.7-1.0x of the serial time up to 480 x 480 and
+#: 0.5-0.7x from 512 x 512 on; 256 x 256 keeps a margin (CHANGES.md has the
+#: measurements).
+_SIDE_BY_SIDE_CELLS = 65_536
+
+#: Held while OpenBLAS is pinned, so two spectra built at once on different
+#: threads cannot restore each other's thread count out of order.
+_PIN_LOCK = threading.Lock()
 
 
 def normalized_matrix(j: DiscreteJoint) -> np.ndarray:
@@ -172,12 +189,92 @@ def _svd_values(a: np.ndarray) -> np.ndarray:
 
 
 def singular_spectrum(j: DiscreteJoint) -> SingularSpectrum:
-    """Full spectrum of the normalized table, deflated of the constant pair."""
+    """Full spectrum of the normalized table, deflated of the constant pair.
+
+    On a table of at least ``_SIDE_BY_SIDE_CELLS`` cells the two SVDs run
+    side by side with one OpenBLAS thread each, so such a spectrum is the
+    one OpenBLAS gives on one thread, whatever the host's CPU count.
+    """
     Q, Qc = _deflated_normalized(j)
-    sigma0 = float(_svd_values(Q)[0])
     k = min(j.n_x, j.n_y) - 1
-    sigma = _svd_values(Qc)[:k] if k > 0 else np.empty(0)
-    return SingularSpectrum(sigma0=sigma0, sigma=sigma, shape=(j.n_x, j.n_y))
+    blas = _openblas() if k > 0 and Q.size >= _SIDE_BY_SIDE_CELLS else None
+    if blas is None:
+        values_q = _svd_values(Q)
+        values_qc = _svd_values(Qc) if k > 0 else np.empty(0)
+    else:
+        values_q, values_qc = _side_by_side(Q, Qc, blas)
+    _log_spectrum(Q.shape, blas is not None)
+    return SingularSpectrum(
+        sigma0=float(values_q[0]), sigma=values_qc[:k], shape=(j.n_x, j.n_y)
+    )
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy, or None when numpy carries no such library."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))  # already loaded by numpy
+        except OSError:
+            continue
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _side_by_side(
+    Q: np.ndarray, Qc: np.ndarray, blas: tuple[Callable[[], int], Callable[[int], None]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of ``Q`` (on a second thread) and ``Qc`` (on this
+    one) at once, with OpenBLAS held to one thread for the pair.
+
+    numpy's LAPACK calls release the GIL, so the two run on two CPUs.  A
+    worker's error is raised here; with no thread to be had, both run here.
+    """
+    get_threads, set_threads = blas
+    done: list[Any] = []
+
+    def svd_q() -> None:
+        try:
+            done.append(_svd_values(Q))
+        except Exception as exc:  # raised again in the caller
+            done.append(exc)
+
+    worker = threading.Thread(target=svd_q, name="depscale-svd")
+    with _PIN_LOCK:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            try:
+                worker.start()
+            except RuntimeError:  # no thread to be had
+                svd_q()
+            values_qc = _svd_values(Qc)
+        finally:
+            if worker.ident is not None:
+                worker.join()
+            set_threads(threads)
+    if isinstance(done[0], Exception):
+        raise done[0]
+    return done[0], values_qc
+
+
+def _log_spectrum(shape: tuple[int, int], side_by_side: bool) -> None:
+    log = _debug_logger()
+    if log is None:
+        return
+    if side_by_side:
+        how, threads = "side by side", 1
+    else:
+        blas = _openblas()
+        how, threads = "one after the other", blas[0]() if blas else "unknown"
+    log.debug("spectrum of %d x %d cells: SVDs %s, BLAS threads %s", *shape, how, threads)
 
 
 def maximal_correlation(j: DiscreteJoint) -> float:

@@ -1,4 +1,5 @@
-"""Shared generators for random test instances, and a guard on child processes.
+"""Shared generators for random test instances, and guards on child
+processes and threads.
 
 Everything here is deterministic given the caller's Generator, so tests can
 freeze seeds and stay reproducible.
@@ -7,6 +8,7 @@ freeze seeds and stay reproducible.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ def no_unreaped_child():
             break
         zombies.append(pid)
     assert zombies == [], f"exited child processes were not reaped: {zombies}"
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_thread():
+    """Fail a test that leaves a thread it started still alive."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert left == [], f"threads were left alive: {left}"
 
 
 def random_joint(rng: np.random.Generator, n_x: int, n_y: int) -> DiscreteJoint:

@@ -9,6 +9,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -245,6 +246,70 @@ class TestOracleProperties:
         assert abs(report["oracle"] - spectral) <= 1e-6 + 1e-8 * spectral
 
 
+class TestTransformsProperties:
+    """Whatever the table, ``transforms`` gives its pairs or one error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_extreme_tables(), k=st.integers(1, 3))
+    def test_pairs_or_one_structured_error(self, tmp_path_factory, table, k):
+        report = run_on_table(tmp_path_factory, table, "transforms", "-k", str(k))
+        if report is None:
+            return
+        assert len(report["pairs"]) == k
+        assert all(0 <= p["rho"] <= 1 for p in report["pairs"])
+
+
+@st.composite
+def _covariances(draw):
+    """A covariance CSV of 2 to 4 variables and its size: the Gram matrix of
+    rows scaled by 10**e (e in -150..150), so that blocks are singular or
+    nearly so, sometimes with one cell overwritten by a value that breaks
+    symmetry or definiteness or is not finite."""
+    n = draw(st.integers(2, 4))
+    unit = st.floats(-1, 1, allow_subnormal=False)
+    rows = np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+    scales = draw(st.lists(st.integers(-150, 150), min_size=n, max_size=n))
+    rows *= 10.0 ** np.array(scales, dtype=float)[:, None]
+    cells = [[repr(float(v)) for v in row] for row in rows @ rows.T]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cells[i][j] = draw(st.sampled_from(["nan", "inf", "-1", "0", "1e308"]))
+    return "\n".join(",".join(row) for row in cells) + "\n", n
+
+
+class TestGaussianProperties:
+    """Whatever the covariance and options, ``gaussian`` gives a report in
+    [0, 1] or one structured error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cov=_covariances(), dim_x=st.integers(0, 4),
+           lambdas=st.none() | st.lists(
+               st.sampled_from(["0", "1", "-2", "1e-300", "1e200", "nan"]),
+               min_size=1, max_size=3),
+           var_z=st.sampled_from(["1", "0", "1e-300", "1e300"]))
+    # A block whose computed eigenvalues have rounding error far above 1e-12.
+    @example(cov=("1,1e8,0,1\n1e8,3e16,1e8,1e8\n0,1e8,1,0\n1,1e8,0,1\n", 4), dim_x=3,
+             lambdas=None, var_z="1")
+    # Entries near the float maximum, and an infinite variance.
+    @example(cov=("1e308,0,0\n0,1,0\n0,0,1\n", 3), dim_x=1, lambdas=None, var_z="1")
+    @example(cov=("1,0,0\n0,inf,0\n0,0,1\n", 3), dim_x=1, lambdas=None, var_z="1")
+    def test_report_or_one_structured_error(self, tmp_path_factory, cov, dim_x,
+                                            lambdas, var_z):
+        text, n = cov
+        path = tmp_path_factory.mktemp("cov") / "c.csv"
+        path.write_text(text)
+        args = ["--dim-x", str(dim_x), "--var-z", var_z]
+        report = run_checked("gaussian", path, *args, *(["--lambdas", *lambdas]
+                                                       if lambdas else []))
+        if report is None:
+            return
+        assert 1 <= dim_x < n
+        assert 0 <= report["R"] <= 1 and 0 <= report["D"] == report["lambda_max"] <= 1
+        if lambdas:
+            assert all(0 <= r <= 1 for r in report["noise_curve"]["R"])
+
+
 @st.composite
 def _quirky_samples(draw):
     """A small samples CSV with the quirks real exports carry: a BOM, CRLF
@@ -354,6 +419,33 @@ class TestOneSpectrumPerReport:
         code, _, _ = run_cli(capsys, "estimate", path, "--x", "x", "--y", "y")
         assert code == 0
         assert len(svd_calls) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedInput:
+    """A pipe gives the report of the same bytes on disk, by either parse path."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["estimate", "--x", "0", "--y", "1"], "x,y\na,2\nb,4\na,2\nb,5\n"),
+            (["estimate", "--x", "0", "--y", "1"], "x,y\n1,2\n3,4\n1,2\n3,5\n"),
+            (["compute"], ",u,v\na,0.4,0.1\nb,0.1,0.4\n"),
+            (["gaussian", "--dim-x", "1"], '1,"0.5"\n0.5,1\n'),
+        ],
+        ids=["categorical-column", "numeric", "label-column", "quoted-cell"],
+    )
+    def test_pipe_and_file_give_the_same_report(self, capsys, tmp_path, argv, text):
+        cmd, *options = argv
+        on_disk = run_cli(capsys, cmd, write(tmp_path, "t.csv", text), *options)
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            piped = run_cli(capsys, cmd, f"/dev/fd/{r}", *options)
+        finally:
+            os.close(r)
+        assert on_disk[0] == 0 and piped == on_disk
 
 
 class TestEstimate:

@@ -213,7 +213,7 @@ class TestHeaderWithoutRows:
 def _per_cell(load, *args):
     """``load`` with the one-pass grid parse switched off: the per-cell path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(depscale.io, "_read_grid", lambda path, is_header: None)
+        mp.setattr(depscale.io, "_read_grid", lambda *args: None)
         return load(*args)
 
 
@@ -380,6 +380,7 @@ class TestTwoProcessParse:
         "header and rows": ("x,y\n" + ROWS, "two processes", 1),
         "numeric first row after a BOM": ("﻿" + ROWS, "two processes", 1),
         "CRLF line ends": (("x,y\n" + ROWS).replace("\n", "\r\n"), "two processes", 1),
+        "bare CR line ends": (("x,y\n" + ROWS).replace("\n", "\r"), "two processes", 1),
         "bad cell in the second half": ("x,y\n" + ROWS + "0.5,oops\n", "per cell", 1),
         "ragged second half": ("x,y\n" + ROWS + "0.5,1,2\n", None, 1),
         "body of one long line": (
@@ -422,6 +423,30 @@ class TestTwoProcessParse:
         got, how = _path_taken(caplog, load_samples_csv, path)
         assert how == "one pass"
         assert got == _outcome(_per_cell, load_samples_csv, path)
+
+
+class TestLineEnds:
+    """LF, CRLF and bare CR line ends give one outcome by the same path."""
+
+    @pytest.mark.parametrize(
+        "load, text, how",
+        [
+            (load_joint_csv, "u,v\n0.4,0.1\n\n0.1,0.4\n", "one pass"),
+            (load_joint_csv, "\ufeff0.4,0.1\n  \n0.1,0.4\n", "one pass"),
+            (load_samples_csv, "x,y\n1,2\n3,4\n5,6\n", "one pass"),
+            (load_samples_csv, "x,y\na,2\nb,4\n", "per cell"),
+        ],
+        ids=["joint-header", "joint-bom-blank-line", "samples", "samples-categorical"],
+    )
+    def test_same_outcome_and_path(self, tmp_path, caplog, load, text, how):
+        outcomes = []
+        for newline in ("\n", "\r\n", "\r"):
+            path = tmp_path / "t.csv"
+            path.write_bytes(text.replace("\n", newline).encode())
+            got, taken = _path_taken(caplog, load, path)
+            assert taken == how, repr(newline)
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestReadLog:

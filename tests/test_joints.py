@@ -226,6 +226,25 @@ class TestGaussianJoint:
         with pytest.raises(NotPositiveDefiniteError, match="1e-12 floor"):
             GaussianJoint(v11=v11, v12=np.zeros((2, 1)), v22=[[1.0]])
 
+    @pytest.mark.parametrize("block", ["v11", "v12", "v22"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, block, bad):
+        blocks = {"v11": np.eye(2), "v12": np.zeros((2, 1)), "v22": np.eye(1)}
+        blocks[block].flat[0] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            GaussianJoint(**blocks)
+
+    def test_entries_near_the_float_maximum(self):
+        g = GaussianJoint(v11=np.diag([1e308, 1.0]), v12=np.zeros((2, 1)), v22=[[1.0]])
+        assert g.v11[0, 0] == 1e308
+
+    def test_rejects_a_block_whose_eigenvalues_round_below_the_floor(self):
+        # The Gram matrix of rows scaled up to 1.7e8: its smallest eigenvalue
+        # is within rounding (about eps * 3e16) of 0, and is computed negative.
+        v11 = [[1.0, 1e8, 0.0], [1e8, 3e16, 1e8], [0.0, 1e8, 1.0]]
+        with pytest.raises(NotPositiveDefiniteError, match="1e-12 floor"):
+            GaussianJoint(v11=v11, v12=[[1.0], [1e8], [0.0]], v22=[[1.0]])
+
     def test_rejects_cross_block_breaking_psd(self):
         # |v12| > sqrt(v11 v22) cannot come from any distribution
         with pytest.raises(NotPositiveDefiniteError):

@@ -6,7 +6,12 @@ heavier cross-checks live in the acceptance suite, the quick ones here.
 """
 
 import logging
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +39,10 @@ from depscale import (
     normalized_matrix,
     singular_spectrum,
 )
-from depscale.spectral import _EPS, _log_det_images, _retract
+import depscale
+from depscale import spectral
+from depscale.cli import main
+from depscale.spectral import _EPS, _deflated_normalized, _log_det_images, _retract
 
 FIXTURE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -332,6 +340,121 @@ class TestOracleLog:
     def test_silent_by_default(self, caplog):
         gram_det_oracle(make_joint(FIXTURE), 0, restarts=4)
         assert caplog.records == []
+
+
+def _write_table(path, probs):
+    np.savetxt(path, probs, delimiter=",", fmt="%.17g")  # round-trips exactly
+    return str(path)
+
+
+def _spectrum_path(caplog, j):
+    """The spectrum of ``j`` and what its DEBUG record says of the SVDs."""
+    with caplog.at_level(logging.DEBUG, logger="depscale"):
+        s = singular_spectrum(j)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("spectrum")]
+    caplog.clear()
+    return s, re.fullmatch(r"spectrum of \d+ x \d+ cells: SVDs (.*), BLAS threads (.*)",
+                           record.getMessage()).groups()
+
+
+def _big_joint():
+    """256 x 300 cells: above the side-by-side threshold, yet quick."""
+    return random_joint(np.random.default_rng(3), 256, 300)
+
+
+class TestSideBySide:
+    """A large table's two SVDs run at once, with one OpenBLAS thread each."""
+
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's thread-count getter and setter, at two threads where the
+        host has them, and the count checked and set back after the test."""
+        blas = spectral._openblas()
+        if blas is None:
+            pytest.skip("numpy carries no OpenBLAS of its own")
+        get, set_ = blas
+        old = get()
+        set_(2)
+        want = get()
+        yield blas
+        after = get()
+        set_(old)
+        assert after == want
+
+    def test_values_equal_the_serial_values(self, caplog, blas):
+        j = _big_joint()
+        assert j.probs.size >= spectral._SIDE_BY_SIDE_CELLS
+        s, (how, threads) = _spectrum_path(caplog, j)
+        assert (how, threads) == ("side by side", "1")
+        get, set_ = blas
+        old = get()
+        set_(1)
+        try:
+            Q, Qc = _deflated_normalized(j)
+            sigma0 = np.linalg.svd(Q, compute_uv=False)[0]
+            sigma = np.linalg.svd(Qc, compute_uv=False)[:255]
+        finally:
+            set_(old)
+        assert s.sigma0 == sigma0
+        assert s.sigma.tobytes() == np.clip(sigma, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("side", ["worker", "caller"])
+    def test_a_failed_svd_is_raised_and_the_thread_count_restored(
+        self, monkeypatch, blas, side
+    ):
+        svd_values = spectral._svd_values
+
+        def failing(a):
+            if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
+                raise SvdFailureError(f"SVD did not converge on the {side}")
+            return svd_values(a)
+
+        monkeypatch.setattr(spectral, "_svd_values", failing)
+        with pytest.raises(SvdFailureError, match=f"on the {side}"):
+            singular_spectrum(_big_joint())
+
+    def test_small_tables_stay_one_after_the_other(self, caplog, blas):
+        _, (how, threads) = _spectrum_path(caplog, make_joint(FIXTURE))
+        assert (how, threads) == ("one after the other", str(blas[0]()))
+
+    def test_silent_by_default(self, caplog, blas):
+        singular_spectrum(_big_joint())
+        assert caplog.records == []
+
+    def test_without_openblas_the_same_report(self, capsys, caplog, tmp_path):
+        path = _write_table(tmp_path / "j.csv", _big_joint().probs)
+        assert main(["compute", path]) == 0
+        want = capsys.readouterr().out
+
+        def no_library(*args, **kwargs):
+            raise OSError("no such library")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral.ctypes, "CDLL", no_library)
+            spectral._openblas.cache_clear()
+            try:
+                _, (how, threads) = _spectrum_path(caplog, _big_joint())
+                assert main(["compute", path]) == 0
+            finally:
+                spectral._openblas.cache_clear()
+        assert (how, threads) == ("one after the other", "unknown")
+        assert capsys.readouterr().out == want
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path, blas):
+        # 768 x 768: large enough that OpenBLAS threads an SVD on two CPUs.
+        w = np.random.default_rng(5).dirichlet(np.ones(768 * 768)).reshape(768, 768)
+        path = _write_table(tmp_path / "j.csv", w)
+        src = str(Path(depscale.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        runs = [
+            subprocess.run([sys.executable, "-m", "depscale.cli", "compute", path],
+                           env=dict(env, **extra), capture_output=True, check=True,
+                           timeout=120).stdout
+            for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+        ]
+        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
