@@ -8,7 +8,8 @@ matrix
 
 whose largest eigenvalue is the squared leading canonical correlation:
 R = sqrt(lambda_max), D = R^2 = lambda_max.  Scalar blocks short-circuit to
-|v12| / sqrt(v11 * v22) so the 1x1 case is exact, not merely close.
+|v12| / sqrt(v11 * v22) so the 1x1 case is exact, not merely close; each
+variance is split as a * 4**s first, so the product cannot overflow.
 
 Inverse square roots go through a symmetric eigendecomposition.  No floor is
 needed here: :class:`~depscale.joints.GaussianJoint` already rejects a block
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, NotScalarError
-from .joints import GaussianJoint
+from .joints import GaussianJoint, _quarter_split
 
 def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
@@ -40,9 +41,16 @@ def lambda_max(g: GaussianJoint) -> float:
 def gaussian_r(g: GaussianJoint) -> float:
     """Maximal correlation of a Gaussian pair: sqrt(lambda_max)."""
     if g.is_scalar:
-        r = abs(float(g.v12[0, 0])) / np.sqrt(float(g.v11[0, 0]) * float(g.v22[0, 0]))
-        return min(r, 1.0)
+        v11, v12, v22 = float(g.v11[0, 0]), float(g.v12[0, 0]), float(g.v22[0, 0])
+        return min(_scalar_r(v11, v12, v22), 1.0)
     return float(np.sqrt(lambda_max(g)))
+
+
+def _scalar_r(v11: float, v12: float, v22: np.ndarray | float) -> np.ndarray | float:
+    """|v12| / sqrt(v11 * v22), with the powers of two of v11 = a * 4**s and
+    of v22 taken out of v12 exactly, so that no product overflows."""
+    (a11, s11), (a22, s22) = _quarter_split(v11), _quarter_split(v22)
+    return np.ldexp(abs(v12), -(s11 + s22)) / np.sqrt(a11 * a22)
 
 
 def gaussian_d(g: GaussianJoint) -> float:
@@ -101,5 +109,5 @@ def noise_curve(g: GaussianJoint, lambdas: np.ndarray, var_z: float = 1.0) -> No
         raise NotPositiveDefiniteError("noise scales (lambdas) must be finite")
     v11, v12, v22 = float(g.v11[0, 0]), float(g.v12[0, 0]), float(g.v22[0, 0])
     with np.errstate(over="ignore"):
-        r = np.minimum(abs(v12) / np.sqrt(v11 * (v22 + (lam * lam) * var_z)), 1.0)
+        r = np.minimum(_scalar_r(v11, v12, v22 + (lam * lam) * var_z), 1.0)
     return NoiseCurve(lambdas=lam, r_values=r)

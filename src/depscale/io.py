@@ -1,8 +1,14 @@
 """CSV ingestion for joint tables, covariance blocks, and sample files.
 
-Three small, strict readers.  Anything that does not match the documented
-layout raises :class:`~depscale.errors.FormatError` (or the semantic error
-from the container it feeds) — no silent coercion.
+One reader, :func:`_read_table`, is behind all three loaders.  It reads the
+file's bytes once; a plain numeric grid is parsed by ``np.loadtxt``
+(:func:`_read_grid`), and any other file becomes an object grid of the
+stripped ``csv`` cells (:func:`_read_cells`).  Each loader keeps only its
+layout rule and casts whole columns with ``astype(float)``, which calls
+``float()`` on every cell, so both ways give the same values and errors.
+Anything that does not match the documented layout raises
+:class:`~depscale.errors.FormatError` (or the semantic error from the
+container it feeds) — no silent coercion.
 """
 
 from __future__ import annotations
@@ -10,15 +16,16 @@ from __future__ import annotations
 import codecs
 import csv
 import os
+import re
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
-from .joints import DiscreteJoint, GaussianJoint, _debug_logger, make_joint
+from .joints import DiscreteJoint, GaussianJoint, _debug_logger, _require_symmetric, make_joint
 
 #: A numeric body of at least this many bytes is parsed in two halves at
 #: once, one of them in a forked child, when more than one CPU is usable.
@@ -27,187 +34,181 @@ from .joints import DiscreteJoint, GaussianJoint, _debug_logger, make_joint
 #: format, and 2 MB keeps a margin (CHANGES.md has the measurements).
 _SPLIT_BYTES = 2_000_000
 
+#: A line end as ``bytes.splitlines`` and the per-cell ``csv`` pass see one.
+_LINE_END = re.compile(rb"\r\n|\r|\n")
 
-def _source(path: str | Path) -> bytes | None:
-    """The bytes behind ``path`` when it is a stream that cannot seek (a
-    pipe), else None: a pipe can be read only once, and the per-cell path
-    must read the bytes the numeric pass read."""
+
+def _read_table(
+    path: str | Path, is_header: Callable[[list[str]], bool]
+) -> tuple[list[str] | None, np.ndarray]:
+    """Column names (or None) and body of the CSV file at ``path``, whose
+    first non-blank row names the columns when ``is_header`` says so.
+
+    The body is :func:`_read_grid`'s float grid or else :func:`_read_cells`'s
+    object grid, and has no rows when the file is a header alone.
+    """
     try:
         with open(path, "rb") as fh:
-            return None if fh.seekable() else fh.read()
+            data = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    names, body, how = _read_grid(data, is_header) or _read_cells(path, data, is_header)
+    log = _debug_logger()
+    if log is not None:
+        log.debug("read %s: %s, %d x %d cells, %d bytes", path, how,
+                  len(body) + (names is not None), body.shape[1], len(data))
+    return names, body
 
 
-def _open_binary(path: str | Path, data: bytes | None) -> BinaryIO:
-    """``path`` opened for reading, or the bytes :func:`_source` kept of it."""
-    return open(path, "rb") if data is None else BytesIO(data)
-
-
-def _read_rows(path: str | Path, data: bytes | None = None) -> list[list[str]]:
-    """Every non-blank row as stripped cells: the per-cell path."""
+def _read_cells(
+    path: str | Path, data: bytes, is_header: Callable[[list[str]], bool]
+) -> tuple[list[str] | None, np.ndarray, str]:
+    """The per-cell pass: every non-blank ``csv`` row of ``data`` as stripped
+    cells, the first row split off as names when ``is_header`` says so."""
     try:
-        with TextIOWrapper(_open_binary(path, data), encoding="utf-8-sig",
-                           newline="") as fh:
+        with TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if _nonblank(row)]
-            size = fh.buffer.seek(0, os.SEEK_END)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path} is empty")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise FormatError(f"{path} is ragged: rows have differing cell counts")
-    _log_read(path, "per cell", len(rows), width, size)
-    return [[c.strip() for c in r] for r in rows]
+    cells = np.array([c.strip() for r in rows for c in r], dtype=object).reshape(-1, width)
+    first = list(cells[0])
+    header = is_header(first)
+    return (first if header else None), cells[int(header):], "per cell"
 
 
 def _read_grid(
-    path: str | Path, is_header: Callable[[list[str]], bool], data: bytes | None = None
-) -> tuple[list[str] | None, np.ndarray] | None:
-    """Header (or None) and numeric body of a plain grid, parsed by ``np.loadtxt``.
+    data: bytes, is_header: Callable[[list[str]], bool]
+) -> tuple[list[str] | None, np.ndarray, str] | None:
+    """Header (or None), float body and parse path of a plain numeric grid.
 
-    The first non-blank row goes through ``csv``; ``is_header`` decides
-    whether it names the columns, and otherwise it must be numeric and is
-    the body's first row.  ``data`` is what :func:`_source` kept of a pipe.
-    Returns None when the body's parse fails or comes back at another width,
-    when the first row is neither header nor numbers, or when no row follows
-    it: the per-cell path (:func:`_read_rows`) then reads the same bytes, so
-    such files get exactly its result or its error.
+    The first non-blank row goes through ``csv``; unless ``is_header`` names
+    it a header it must be numeric, and it is the body's first row.  None
+    when the ``np.loadtxt`` pass fails or comes back at another width, when
+    the first row is neither header nor numbers, or when no row follows it:
+    :func:`_read_cells` then gives such files its result or its error.
     """
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    end = start  # where the lines csv has read so far end
+
+    def text() -> Iterator[str]:
+        nonlocal end
+        for begin, end in _lines(data, end):
+            yield data[begin:end].decode()
+
     try:
-        with _open_binary(path, data) as fh:
-            size = fh.seek(0, os.SEEK_END)
-            fh.seek(0)
-            start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
-            fh.seek(start)
-            record: list[bytes] = []  # the raw lines of the row csv is reading
-
-            def lines():
-                for line in _lines(fh):
-                    record.append(line)
-                    yield line.decode()
-
-            for first in csv.reader(lines()):
-                if _nonblank(first):
-                    break
-                start += sum(map(len, record))
-                record.clear()
-            else:
-                return None
-            fh.seek(start + sum(map(len, record)))
-            first = [c.strip() for c in first]
-            header = is_header(first)
-            if not header and not all(_is_number(c) for c in first):
-                return None
-            # A row must follow: loadtxt warns on an input with no rows.
-            skipped, row = _next_row(fh)
-            if row is None:
-                return None
-            if header:
-                start += sum(map(len, record)) + skipped
-            head = [row] if header else [*record, row]
-            body, how = _parse_body(fh, head, start, _split_point(fh, start, size))
+        for first in csv.reader(text()):
+            if _nonblank(first):
+                break
+            start = end
+        else:
+            return None
+        first = [c.strip() for c in first]
+        header = is_header(first)
+        if not header and not all(_is_number(c) for c in first):
+            return None
+        # A row must follow: loadtxt warns on an input with no rows.
+        row = _next_row(data, end)
+        if row is None:
+            return None
+        if header:
+            start = row[0]
+        head = [data[a:b].decode() for a, b in ([row] if header else [(start, end), row])]
+        body, how = _parse_body(data, head, row[1], start)
     except (OSError, ValueError, csv.Error):
         return None
     if body.shape[1] != len(first):
         return None
-    _log_read(path, how, body.shape[0] + header, body.shape[1], size)
-    return (first if header else None), body
+    return (first if header else None), body, how
 
 
-def _lines(fh: BinaryIO) -> Iterator[bytes]:
-    """The lines of the binary file ``fh`` from where it stands, each ending
-    at LF, CRLF or a bare CR, as the per-cell path's ``csv`` reads them."""
-    for line in fh:
-        yield from line.splitlines(keepends=True)
+def _lines(data: bytes, pos: int) -> Iterator[tuple[int, int]]:
+    """(start, end) of each line of ``data`` from byte ``pos`` on, each ending
+    at LF, CRLF or a bare CR, as ``bytes.splitlines(keepends=True)`` splits."""
+    for match in _LINE_END.finditer(data, pos):
+        yield pos, match.end()
+        pos = match.end()
+    if pos < len(data):
+        yield pos, len(data)
 
 
-def _next_row(fh: BinaryIO) -> tuple[int, bytes | None]:
-    """The next non-blank line of the binary file ``fh`` (None at the end),
-    after how many bytes of blank lines; ``fh`` is left just past it."""
-    here = fh.tell()
-    skipped = 0
-    for line in _lines(fh):
-        if line.decode().strip():
-            fh.seek(here + skipped + len(line))
-            return skipped, line
-        skipped += len(line)
-    return skipped, None
+def _next_row(data: bytes, pos: int) -> tuple[int, int] | None:
+    """(start, end) of the first non-blank line of ``data`` from byte
+    ``pos`` on, or None."""
+    for a, b in _lines(data, pos):
+        if data[a:b].decode().strip():
+            return a, b
+    return None
 
 
-def _split_point(fh: BinaryIO, start: int, size: int) -> int | None:
+def _split_point(data: bytes, start: int) -> int | None:
     """The first line start after the middle of the body from byte ``start``
-    to ``size``, with a row after it; None when the body is small, one CPU
-    is usable or the platform cannot fork.  Leaves ``fh`` where it was."""
+    on, with a row after it; None when the body is small, one CPU is usable
+    or the platform cannot fork."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if size - start < _SPLIT_BYTES or cpus < 2 or not hasattr(os, "fork"):
+    if len(data) - start < _SPLIT_BYTES or cpus < 2 or not hasattr(os, "fork"):
         return None
-    here = fh.tell()
-    before_middle = (start + size - 1) // 2  # the byte before the middle, or start
-    fh.seek(before_middle)
-    mid = before_middle + len(next(_lines(fh), b""))
-    fh.seek(mid)
-    has_row = _next_row(fh)[1] is not None
-    fh.seek(here)
-    return mid if has_row else None
+    before_middle = (start + len(data) - 1) // 2  # the byte before the middle
+    mid = next(_lines(data, before_middle))[1]
+    return mid if _next_row(data, mid) is not None else None
 
 
-def _loadtxt(fh: BinaryIO, head: Sequence[bytes] = ()) -> np.ndarray:
-    """One ``np.loadtxt`` pass over the lines ``head`` and then the rest of
-    the binary stream ``fh``, which it closes."""
-    with TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+def _loadtxt(data: bytes, start: int, head: Sequence[str] = ()) -> np.ndarray:
+    """One ``np.loadtxt`` pass over the lines ``head`` and then the bytes of
+    ``data`` from ``start`` on."""
+    buffer = BytesIO(data)  # shares the bytes; no copy
+    buffer.seek(start)
+    with TextIOWrapper(buffer, encoding="utf-8", newline="") as text:
         return np.loadtxt(
-            chain(map(bytes.decode, head), text),
-            delimiter=",", comments=None, ndmin=2, dtype=float,
+            chain(head, text), delimiter=",", comments=None, ndmin=2, dtype=float
         )
 
 
 def _parse_body(
-    fh: BinaryIO, head: list[bytes], start: int, mid: int | None
+    data: bytes, head: list[str], rest: int, start: int
 ) -> tuple[np.ndarray, str]:
-    """The grid whose first lines ``head`` were read from ``fh`` from byte
-    ``start`` on, and how it was parsed.
+    """The grid of the lines ``head`` and then ``data`` from byte ``rest``
+    on, and how it was parsed; the body, ``head`` included, begins at byte
+    ``start``.
 
-    With no ``mid``, one pass over ``head`` and the rest of ``fh``.
-    Otherwise the bytes ``[start, mid)`` are read, and a forked child parses
-    them while this process parses the rest; the child sends its shape and
+    Given a split point ``mid``, a forked child parses the bytes ``[start,
+    mid)`` while this process parses the rest, and sends its shape and
     float64 bytes down a pipe.  Both halves go through the same parser, so
     the values are those of one pass.  A failed child (an error, a short
-    read, a nonzero exit) raises ValueError; a failed fork falls back to one
-    pass.
+    read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
     """
+    mid = _split_point(data, start)
     if mid is None:
-        return _loadtxt(fh, head), "one pass"
-    fh.seek(start)
-    half = fh.read(mid - start)  # the child's half, read before the fork
+        return _loadtxt(data, rest, head), "one pass"
     r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        fh.seek(start)
-        return _loadtxt(fh), "one pass"
+        return _loadtxt(data, rest, head), "one pass"
     if pid == 0:  # the child only parses and sends; it never returns
         code = 1
         try:
             os.close(r)  # so that its write fails once the parent closes r
-            rows = _loadtxt(BytesIO(half))
+            rows = _loadtxt(data[:mid], start)  # the copy is the child's alone
             with open(w, "wb") as out:
                 out.write(np.array(rows.shape, dtype=np.int64).tobytes())
                 out.write(rows)
             code = 0
         finally:
             os._exit(code)
-    del half
     os.close(w)
     try:
         with open(r, "rb") as src:
-            tail = _loadtxt(fh)  # from mid, where the read above stopped
+            tail = _loadtxt(data, mid)
             shape = np.frombuffer(src.read(16), dtype=np.int64)
             rows = np.empty(shape) if shape.size == 2 else None
             received = rows is not None and src.readinto(rows) == rows.nbytes
@@ -216,12 +217,6 @@ def _parse_body(
     if status or not received:
         raise ValueError("the child's half of the grid was not received")
     return np.concatenate([rows, tail]), "two processes"
-
-
-def _log_read(path: str | Path, how: str, rows: int, cols: int, size: int) -> None:
-    log = _debug_logger()
-    if log is not None:
-        log.debug("read %s: %s, %d x %d cells, %d bytes", path, how, rows, cols, size)
 
 
 def _nonblank(row: list[str]) -> bool:
@@ -237,17 +232,20 @@ def _is_number(cell: str) -> bool:
 
 
 def _joint_header(row: list[str]) -> bool:
-    return any(not _is_number(c) for c in row[1:]) or (
-        len(row) == 1 and not _is_number(row[0])
-    )
+    return any(not _is_number(c) for c in row[1:] or row)
 
 
 def _samples_header(row: list[str]) -> bool:
     return any(not _is_number(c) for c in row)
 
 
-def _no_header(row: list[str]) -> bool:
-    return False
+def _floats(cells: np.ndarray, what: str) -> np.ndarray:
+    """``cells`` as floats, each cast by ``float()``; a cell that is not a
+    number is a FormatError that begins with ``what``."""
+    try:
+        return cells.astype(float, copy=False)
+    except ValueError as exc:
+        raise FormatError(f"{what} ({exc})") from exc
 
 
 def load_joint_csv(path: str | Path) -> DiscreteJoint:
@@ -258,80 +256,51 @@ def load_joint_csv(path: str | Path) -> DiscreteJoint:
     remaining cell must parse as a number; validation and renormalization
     happen in :func:`depscale.joints.make_joint`.
     """
-    data = _source(path)
-    grid = _read_grid(path, _joint_header, data)
-    if grid is not None:
-        return make_joint(grid[1])
-    rows = _read_rows(path, data)
-    body = rows[1:] if _joint_header(rows[0]) else rows
-    if not body:
+    _, body = _read_table(path, _joint_header)
+    if not len(body):
         raise FormatError(f"{path} has a header but no data rows")
-    if any(not _is_number(r[0]) for r in body):
-        body = [r[1:] for r in body]
     try:
-        probs = np.array([[float(c) for c in r] for r in body])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric cell in table body ({exc})") from exc
-    return make_joint(probs)
+        body[:, 0].astype(float)
+    except ValueError:  # a label column
+        body = body[:, 1:]
+    return make_joint(_floats(body, f"{path}: non-numeric cell in table body"))
 
 
 def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:
-    """Read a full (m+n) x (m+n) covariance matrix and split it at ``dim_x``."""
-    data = _source(path)
-    grid = _read_grid(path, _no_header, data)
-    if grid is not None:
-        full = grid[1]
-    else:
-        rows = _read_rows(path, data)
-        try:
-            full = np.array([[float(c) for c in r] for r in rows])
-        except ValueError as exc:
-            raise FormatError(
-                f"{path}: covariance CSV must be purely numeric ({exc})"
-            ) from exc
+    """Read a full (m+n) x (m+n) covariance matrix and split it at ``dim_x``.
+
+    The matrix must be symmetric, by the test :class:`GaussianJoint` applies
+    to its diagonal blocks: the cross block is read above the diagonal.
+    """
+    _, body = _read_table(path, lambda row: False)
+    full = _floats(body, f"{path}: covariance CSV must be purely numeric")
     if full.shape[0] != full.shape[1]:
-        raise FormatError(
-            f"{path}: covariance matrix must be square, got {full.shape}"
-        )
+        raise FormatError(f"{path}: covariance matrix must be square, got {full.shape}")
     if not 1 <= dim_x < full.shape[0]:
-        raise InvalidBlockError(
-            f"dim-x must lie in [1, {full.shape[0] - 1}], got {dim_x}"
-        )
+        raise InvalidBlockError(f"dim-x must lie in [1, {full.shape[0] - 1}], got {dim_x}")
+    _require_symmetric("the covariance matrix", full)
     m = dim_x
-    return GaussianJoint(
-        v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:]
-    )
+    return GaussianJoint(v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:])
 
 
-def load_samples_csv(
-    path: str | Path,
-) -> tuple[list[str] | None, list[np.ndarray]]:
+def load_samples_csv(path: str | Path) -> tuple[list[str] | None, list[np.ndarray]]:
     """Read a samples CSV: one observation per row, one variable per column.
 
     Returns (column names or None, list of column arrays); numeric columns
     come back as float arrays, anything else as object arrays of strings.
     A header row is detected by non-numeric cells.
     """
-    data = _source(path)
-    grid = _read_grid(path, _samples_header, data)
-    if grid is not None and grid[1].shape[1] >= 2:
-        names, body = grid
-        return names, list(body.T.copy())
-    rows = _read_rows(path, data)
-    if len(rows[0]) < 2:
+    names, body = _read_table(path, _samples_header)
+    if body.shape[1] < 2:
         raise FormatError(f"{path}: need at least 2 columns (X and Y)")
-    header = _samples_header(rows[0])
-    names = rows[0] if header else None
-    body = rows[1:] if header else rows
-    if not body:
+    if not len(body):
         raise FormatError(f"{path} has a header but no data rows")
     columns: list[np.ndarray] = []
-    for idx in range(len(rows[0])):
-        cells = [r[idx] for r in body]
-        if all(_is_number(c) for c in cells):
-            columns.append(np.array([float(c) for c in cells]))
-        else:
-            columns.append(np.array(cells, dtype=object))
+    for cells in body.T:
+        try:
+            columns.append(cells.astype(float))
+        except ValueError:
+            columns.append(cells.copy())
     return names, columns
 
 

@@ -50,6 +50,20 @@ def _debug_logger() -> Any:
     return None if logging is None else logging.getLogger("depscale")
 
 
+def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, s) with p == a * 4**s exactly and a in [1/4, 1), for p > 0."""
+    m, e = np.frexp(p)
+    s = -(-e // 2)
+    return np.ldexp(m, e - 2 * s), s
+
+
+def _require_symmetric(name: str, a: np.ndarray) -> None:
+    """Reject a matrix that differs from its transpose by more than 1e-10
+    anywhere (a nan matches only a nan)."""
+    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0, equal_nan=True):
+        raise NotPositiveDefiniteError(f"{name} is not symmetric")
+
+
 def _frozen_array(a: np.ndarray, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
@@ -217,8 +231,7 @@ class GaussianJoint:
         if not all(np.all(np.isfinite(b)) for b in (v11, v12, v22)):
             raise NotPositiveDefiniteError("covariance blocks contain non-finite entries")
         for name, block in (("v11", v11), ("v22", v22)):
-            if not np.allclose(block, block.T, atol=1e-10, rtol=0.0):
-                raise NotPositiveDefiniteError(f"{name} is not symmetric")
+            _require_symmetric(name, block)
             # The eigenvalues lambda_max takes square roots of: eigh of the
             # same halves, which do not overflow near the float maximum.
             if np.linalg.eigh(block / 2.0 + block.T / 2.0)[0][0] <= 1e-12:

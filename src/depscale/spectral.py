@@ -39,7 +39,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import DiscreteJoint, _debug_logger, _frozen_array, check_tol, conditional_matrix
+from .joints import (DiscreteJoint, _debug_logger, _frozen_array, _quarter_split, check_tol,
+                     conditional_matrix)
 
 #: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
 SPECTRUM_SLACK = 1e-10
@@ -70,13 +71,6 @@ def normalized_matrix(j: DiscreteJoint) -> np.ndarray:
     (a_x, s_x), (a_y, s_y) = _quarter_split(j.p_x), _quarter_split(j.p_y)
     scaled = np.ldexp(j.probs, -np.add.outer(s_x, s_y))
     return scaled / np.sqrt(np.outer(a_x, a_y))
-
-
-def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, s) with p == a * 4**s exactly and a in [1/4, 1), for p > 0."""
-    m, e = np.frexp(p)
-    s = -(-e // 2)
-    return np.ldexp(m, e - 2 * s), s
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from depscale import (
@@ -158,3 +160,41 @@ class TestNoiseCurve:
             NoiseCurve(
                 lambdas=np.array([1.0, 0.0]), r_values=np.array([0.3, 0.5])
             )
+
+
+def _reference_r(v11, v12, v22):
+    """The scalar closed form as it was written before the variances were
+    split: |v12| / sqrt(v11 * v22), exact wherever the product neither
+    overflows nor leaves the normal range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.minimum(np.abs(v12) / np.sqrt(v11 * v22), 1.0), v11 * v22
+
+
+class TestScalarScaleFree:
+    """Scalar R and the noise curve hold at any scale, and bit for bit equal
+    the plain formula wherever its product stays a normal float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(e11=st.floats(-11, 300), e22=st.floats(-11, 300), rho=st.floats(-0.999, 0.999),
+           lam=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True),
+           e_z=st.floats(-5, 5))
+    # Both variances at 1e200: the product overflowed, and R read 0.
+    @example(e11=200.0, e22=200.0, rho=0.5, lam=[0.0, 1.0], e_z=0.0)
+    def test_r_and_curve(self, e11, e22, rho, lam, e_z):
+        v11, v22, var_z = 10.0**e11, 10.0**e22, 10.0**e_z
+        v12 = rho * np.sqrt(v11) * np.sqrt(v22)
+        try:
+            g = scalar(v12, v11, v22)
+        except NotPositiveDefiniteError:  # the absolute PSD slack, at large scales
+            assume(False)
+        lam = np.sort(np.array(lam + [0.0]))
+        lam = lam[np.concatenate([[True], np.diff(lam) > 0])]
+        want, product = _reference_r(v11, v12, v22 + (lam * lam) * var_z)
+        curve = noise_curve(g, lam, var_z=var_z).r_values
+        # Exact powers of two leave both roundings alone while the product,
+        # and v12 over those powers (at least R / 4), stay normal.
+        tiny = np.finfo(float).tiny
+        normal = np.isfinite(product) & (product >= tiny) & ((want >= 4 * tiny) | (want == 0))
+        assert curve[normal].tolist() == want[normal].tolist()
+        assert curve[lam == 0].tolist() == [gaussian_r(g)]
+        assert gaussian_r(g) == pytest.approx(abs(rho), rel=1e-14, abs=1e-300)

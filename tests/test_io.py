@@ -1,17 +1,27 @@
 """CSV loaders for joint tables, covariance blocks, and sample columns."""
 
+import codecs
+import csv
 import logging
 import os
 import re
+from io import TextIOWrapper
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import depscale.io
-from depscale import DepscaleError, FormatError, InvalidBlockError
+from depscale import (
+    DepscaleError,
+    FormatError,
+    GaussianJoint,
+    InvalidBlockError,
+    NotPositiveDefiniteError,
+    make_joint,
+)
 from depscale.io import (
     load_covariance_csv,
     load_joint_csv,
@@ -106,6 +116,20 @@ class TestLoadCovarianceCsv:
         path = write(tmp_path, "c.csv", "1,0.5\n0.5,1\n")
         with pytest.raises(InvalidBlockError):
             load_covariance_csv(path, dim_x)
+
+    # The cross block sits above the diagonal; its mirror below must match.
+    @pytest.mark.parametrize(
+        "text, dim_x",
+        [("1,0.5\n-0.9,1\n", 1), ("1,0.5,0.2\n0.5,1,0.1\n0.3,0.1,1\n", 2)],
+    )
+    def test_asymmetric_matrix_rejected(self, tmp_path, text, dim_x):
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric") as got:
+            load_covariance_csv(write(tmp_path, "c.csv", text), dim_x)
+        assert (got.value.code, got.value.exit_code) == ("NotPositiveDefinite", 2)
+
+    def test_rounding_asymmetry_within_1e_10_accepted(self, tmp_path):
+        g = load_covariance_csv(write(tmp_path, "c.csv", "1,0.5\n0.50000000001,1\n"), 1)
+        assert g.v12.tolist() == [[0.5]]
 
 
 class TestLoadSamplesCsv:
@@ -232,6 +256,19 @@ def _outcome(load, *args):
     return result.v11.tobytes(), result.v12.tobytes(), result.v22.tobytes()
 
 
+def _path_taken(caplog, load, *args):
+    """``load``'s outcome and the parse path its DEBUG record names (None
+    when the load failed before any record)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="depscale"):
+        outcome = _outcome(load, *args)
+    how = [re.match(r"read .*: (.*), \d+ x \d+ cells", r.getMessage())[1]
+           for r in caplog.records]
+    caplog.clear()
+    assert len(how) <= 1
+    return outcome, (how or [None])[0]
+
+
 _FORMATS = {"repr": repr, "%.6f": "%.6f".__mod__, "%.25e": "%.25e".__mod__}
 
 
@@ -248,17 +285,16 @@ _GRIDS = dict(
 )
 
 
-def _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline):
+def _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline):
     """All three loaders give the per-cell path's bytes, or its error."""
     lines = [",".join(map(_FORMATS[fmt], row)) for row in grid]
     if header:
         lines.insert(0, ",".join(f"c{i}" for i in range(len(grid[0]))))
     path = tmp_path_factory.mktemp("grid") / "g.csv"
     path.write_bytes((newline.join(lines) + newline).encode())
-    assert depscale.io._read_grid(path, depscale.io._samples_header) is not None
-    assert _outcome(load_samples_csv, path) == _outcome(
-        _per_cell, load_samples_csv, path
-    )
+    got, how = _path_taken(caplog, load_samples_csv, path)
+    assert how in ("one pass", "two processes")
+    assert got == _outcome(_per_cell, load_samples_csv, path)
     # Mass and sign do not matter here: both paths must fail alike too.
     for load, args in ((load_joint_csv, (path,)), (load_covariance_csv, (path, 1))):
         try:
@@ -277,23 +313,30 @@ def _force_split(mp):
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
+# caplog is cleared around every load, so one instance serves all examples.
+_REUSE_CAPLOG = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
 class TestOnePassParse:
     """The one-pass numeric parse gives exactly what the per-cell path gives."""
 
-    @settings(max_examples=60, deadline=None)
+    @_REUSE_CAPLOG
     @given(**_GRIDS)
-    def test_numeric_grids_are_bit_identical(self, tmp_path_factory, grid, fmt, header,
-                                             newline):
-        _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline)
+    def test_numeric_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
+                                             header, newline):
+        _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
-    @settings(max_examples=60, deadline=None)
+    @_REUSE_CAPLOG
     @given(**_GRIDS)
-    def test_split_grids_are_bit_identical(self, tmp_path_factory, grid, fmt, header,
-                                           newline):
+    def test_split_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
+                                           header, newline):
         with pytest.MonkeyPatch.context() as mp:
             _force_split(mp)
-            _assert_bit_identical(tmp_path_factory, grid, fmt, header, newline)
+            _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline)
 
     # Each body holds a spelling numpy rejects or a shape it cannot take in
     # one pass; the loader must give what the per-cell path gives.
@@ -308,11 +351,12 @@ class TestOnePassParse:
     }
 
     @pytest.mark.parametrize("name", sorted(FALLBACKS))
-    def test_fallback_spellings(self, tmp_path, name):
+    def test_fallback_spellings(self, tmp_path, caplog, name):
         text, first_column = self.FALLBACKS[name]
         path = write(tmp_path, "s.csv", text)
-        assert depscale.io._read_grid(path, depscale.io._samples_header) is None
-        assert _outcome(load_samples_csv, path) == _outcome(_per_cell, load_samples_csv, path)
+        got, how = _path_taken(caplog, load_samples_csv, path)
+        assert how == "per cell"
+        assert got == _outcome(_per_cell, load_samples_csv, path)
         assert load_samples_csv(path)[1][0].tolist() == first_column
 
     @pytest.mark.parametrize(
@@ -340,19 +384,6 @@ class TestOnePassParse:
         path = write(tmp_path, "c.csv", "1,0.5\n0.5,one\n")
         with pytest.raises(FormatError, match="covariance CSV must be purely numeric"):
             load_covariance_csv(path, 1)
-
-
-def _path_taken(caplog, load, *args):
-    """``load``'s outcome and the parse path its DEBUG record names (None
-    when the load failed before any record)."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="depscale"):
-        outcome = _outcome(load, *args)
-    how = [re.match(r"read .*: (.*), \d+ x \d+ cells", r.getMessage())[1]
-           for r in caplog.records]
-    caplog.clear()
-    assert len(how) <= 1
-    return outcome, (how or [None])[0]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
@@ -399,14 +430,13 @@ class TestTwoProcessParse:
         assert (how, len(forks)) == (path_taken, n_forks)
         assert got == _outcome(_per_cell, load_samples_csv, path)
 
-    def test_bad_cell_keeps_the_joint_error(self, tmp_path, forks):
+    def test_bad_cell_keeps_the_joint_error(self, tmp_path, caplog, forks):
         path = tmp_path / "j.csv"
         path.write_text(self.ROWS + "0.5,oops\n")
-        assert depscale.io._read_grid(path, depscale.io._joint_header) is None
-        assert len(forks) == 1
-        with pytest.raises(FormatError) as got:
-            load_joint_csv(path)
-        assert got.value.args == (
+        got, how = _path_taken(caplog, load_joint_csv, path)
+        assert (how, len(forks)) == ("per cell", 1)
+        assert got == (
+            "FormatError",
             f"{path}: non-numeric cell in table body "
             "(could not convert string to float: 'oops')",
         )
@@ -479,3 +509,243 @@ class TestReadLog:
     def test_silent_by_default(self, tmp_path, caplog):
         load_samples_csv(write(tmp_path, "s.csv", "x,y\n1,2\n3,4\n"))
         assert caplog.records == []
+
+
+# The per-cell reader and the three loaders' per-cell branches as they were
+# before the loaders shared one reader, kept verbatim (a file is opened by
+# path, and no DEBUG record is written) as the reference the reader must
+# match, cell for cell and error for error.
+
+
+def _reference_rows(path):
+    """Every non-blank row as stripped cells: the per-cell path."""
+    try:
+        with TextIOWrapper(open(path, "rb"), encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if _reference_nonblank(row)]
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{path} is empty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise FormatError(f"{path} is ragged: rows have differing cell counts")
+    return [[c.strip() for c in r] for r in rows]
+
+
+def _reference_nonblank(row):
+    return any(c.strip() for c in row)
+
+
+def _reference_is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _reference_joint_header(row):
+    return any(not _reference_is_number(c) for c in row[1:]) or (
+        len(row) == 1 and not _reference_is_number(row[0])
+    )
+
+
+def _reference_samples_header(row):
+    return any(not _reference_is_number(c) for c in row)
+
+
+def _reference_joint(path):
+    rows = _reference_rows(path)
+    body = rows[1:] if _reference_joint_header(rows[0]) else rows
+    if not body:
+        raise FormatError(f"{path} has a header but no data rows")
+    if any(not _reference_is_number(r[0]) for r in body):
+        body = [r[1:] for r in body]
+    try:
+        probs = np.array([[float(c) for c in r] for r in body])
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-numeric cell in table body ({exc})") from exc
+    return make_joint(probs)
+
+
+def _reference_covariance(path, dim_x):
+    rows = _reference_rows(path)
+    try:
+        full = np.array([[float(c) for c in r] for r in rows])
+    except ValueError as exc:
+        raise FormatError(
+            f"{path}: covariance CSV must be purely numeric ({exc})"
+        ) from exc
+    if full.shape[0] != full.shape[1]:
+        raise FormatError(
+            f"{path}: covariance matrix must be square, got {full.shape}"
+        )
+    if not 1 <= dim_x < full.shape[0]:
+        raise InvalidBlockError(
+            f"dim-x must lie in [1, {full.shape[0] - 1}], got {dim_x}"
+        )
+    m = dim_x
+    return GaussianJoint(
+        v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:]
+    )
+
+
+def _reference_samples(path):
+    rows = _reference_rows(path)
+    if len(rows[0]) < 2:
+        raise FormatError(f"{path}: need at least 2 columns (X and Y)")
+    header = _reference_samples_header(rows[0])
+    names = rows[0] if header else None
+    body = rows[1:] if header else rows
+    if not body:
+        raise FormatError(f"{path} has a header but no data rows")
+    columns = []
+    for idx in range(len(rows[0])):
+        cells = [r[idx] for r in body]
+        if all(_reference_is_number(c) for c in cells):
+            columns.append(np.array([float(c) for c in cells]))
+        else:
+            columns.append(np.array(cells, dtype=object))
+    return names, columns
+
+
+#: Padding that ``str.strip`` removes: ASCII blanks, the separators
+#: \x1c-\x1f (which ``float()`` does not strip), NBSP and an em space.
+_PADS = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", " "]
+
+
+@st.composite
+def _spelled(draw, value):
+    """``value`` (an int) as one of the spellings a CSV export may carry."""
+    text = draw(st.sampled_from([
+        str(value), f"{value}.0", f"{value}e0", f"+{value}",
+        "0_" + "_".join(str(value)),
+        "".join(chr(0x660 + int(d)) for d in str(value)),  # Arabic-Indic digits
+    ]))
+    text = draw(st.sampled_from(_PADS)) + text + draw(st.sampled_from(_PADS))
+    return f'"{text}"' if draw(st.integers(0, 5)) == 0 else text
+
+
+@st.composite
+def _quirky_csv(draw):
+    """A small CSV file's bytes, a grid of cells with the quirks real files
+    carry: odd number spellings and padding, words, empty and quoted cells
+    (with a comma or a line end inside), a header row, a label column,
+    blank, whitespace-only and ``,,`` rows, a ragged row, a BOM, a byte that
+    is not UTF-8, and LF, CRLF or bare CR line ends, mixed or not.  Values
+    are symmetric in the row and column index, and the diagonal dominates,
+    so a square all-number grid is a valid covariance matrix."""
+    n_rows = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([n_rows, n_rows, 1, 2, 3]))
+    values = draw(st.lists(st.integers(0, 12), min_size=15, max_size=15))
+    odd = st.sampled_from(["a", "NA", "", "  ", '"1,5"', '"a\nb"', '"x\r\ny"', "nan", "-inf"])
+    rows = []
+    for i in range(n_rows):
+        rows.append([
+            draw(odd) if draw(st.sampled_from(range(12))) == 11
+            else draw(_spelled(values[min(i, j) * 3 + max(i, j)] + 40 * (i == j)))
+            for j in range(width)
+        ])
+    if draw(st.sampled_from("no yes")) == "y":
+        rows.insert(0, [f"c{j}" for j in range(width)])
+    if draw(st.sampled_from("no yes")) == "y":
+        rows = [[f"r{i}", *row] for i, row in enumerate(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        w = len(rows[0])
+        extra = draw(st.sampled_from([[], ["  "], [""] * w, [" "] * w, ["1"] * (w + 1)]))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    text = "".join(",".join(row) + ends[i % len(ends)] for i, row in enumerate(rows))
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + text.encode()
+    if draw(st.sampled_from(range(12))) == 11:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+def _error_or_outcome(load, *args):
+    """``_outcome``, or the class and code of a container's error."""
+    try:
+        return _outcome(load, *args)
+    except DepscaleError as exc:
+        return type(exc), exc.code
+
+
+class _Unchecked:
+    """Stands in for ``make_joint``, so that a table's cells are compared even
+    when its mass is not 1."""
+
+    def __init__(self, probs):
+        self.probs = np.asarray(probs)
+
+
+class TestAgainstThePerCellReference:
+    """Every loader gives the reference's bytes, or its error (a reading
+    error's message too)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_quirky_csv(), dim_x=st.integers(1, 2))
+    @example(data=b"1,2\r2,5\r", dim_x=1)
+    @example(data=b"1,2,3\n4,5,a\n6,b,7\n", dim_x=1)  # the row-major first bad cell is named
+    @example(data=b'x,y\n"1,5",\xc2\xa02\x1c\n3,\xd9\xa1\xd9\xa2\n', dim_x=1)
+    def test_same_bytes_or_error(self, tmp_path_factory, data, dim_x):
+        path = tmp_path_factory.mktemp("quirk") / "q.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(depscale.io, "make_joint", _Unchecked)
+            mp.setitem(globals(), "make_joint", _Unchecked)
+            for load, reference, args in (
+                (load_joint_csv, _reference_joint, ()),
+                (load_covariance_csv, _reference_covariance, (dim_x,)),
+                (load_samples_csv, _reference_samples, ()),
+            ):
+                got = _error_or_outcome(load, path, *args)
+                want = _error_or_outcome(reference, path, *args)
+                if got != want and got == (NotPositiveDefiniteError, "NotPositiveDefinite"):
+                    # The one intended change: the reference never read the
+                    # cells below the diagonal (a nan cell breaks symmetry).
+                    full = np.array([[float(c) for c in r] for r in _reference_rows(path)])
+                    assert not np.allclose(full, full.T, atol=1e-10, rtol=0, equal_nan=True)
+                else:
+                    assert got == want, load.__name__
+
+    def test_a_cell_over_the_csv_field_limit_is_a_format_error(self, tmp_path):
+        path = write(tmp_path, "s.csv", "x,y\n" + "a" * (csv.field_size_limit() + 1) + ",1\n")
+        with pytest.raises(FormatError, match="field larger than field limit"):
+            load_samples_csv(path)
+
+
+_LINES = st.lists(
+    st.tuples(st.sampled_from([b"", b" ", b"1,2", b"x,y"]),
+              st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join),
+    max_size=8,
+).map(b"".join)
+
+
+class TestLineWalker:
+    """The numeric pass walks lines where ``bytes.splitlines`` splits them."""
+
+    @given(data=_LINES, tail=st.sampled_from([b"", b"5,6"]), at=st.integers(0, 100))
+    def test_lines_are_splitlines(self, data, tail, at):
+        data += tail
+        at = min(at, len(data))
+        got = [data[a:b] for a, b in depscale.io._lines(data, at)]
+        assert got == data[at:].splitlines(keepends=True)
+
+    @given(data=_LINES, tail=st.sampled_from([b"", b"5,6"]), start=st.integers(0, 100))
+    # The byte before the middle is the LF of a CRLF, then its CR.
+    @example(data=b"1,2\r\n3,4\r\n", tail=b"", start=0)
+    @example(data=b"1,2\r\n3\r\n", tail=b"", start=0)
+    def test_split_point_is_a_line_start_after_the_middle(self, data, tail, start):
+        data += tail
+        start = min(start, len(data))
+        ends = np.cumsum([len(line) for line in data.splitlines(keepends=True)])
+        before_middle = (start + len(data) - 1) // 2
+        after = [e for e in ends if e > before_middle]
+        has_row = bool(after) and data[after[0]:].strip() != b""
+        with pytest.MonkeyPatch.context() as mp:
+            _force_split(mp)
+            mid = depscale.io._split_point(data, start)
+        assert mid == (after[0] if has_row else None)
