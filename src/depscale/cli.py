@@ -4,7 +4,11 @@ Subcommands mirror the library one-to-one and add no arithmetic of their
 own: every number in a report is the untouched return value of a library
 call.  Reports are JSON (default) or flattened CSV on stdout; errors are a
 single machine-readable JSON object on stderr.  Exit codes: 0 success,
-2 bad input, 3 numerical failure.
+1 the report could not be written, 2 bad input, 3 numerical failure.
+
+A start imports ``errors`` and ``io`` (which brings ``joints``); any other
+module is imported on the first call of a library function from it, so each
+subcommand loads just the modules it runs.
 """
 
 from __future__ import annotations
@@ -13,31 +17,48 @@ import argparse
 import csv
 import io as _io
 import json
+import os
 import sys
-from typing import Any, NoReturn
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 import numpy as np
 
-from .ace import ace_subspace
 from .errors import DepscaleError, NonConvergenceError
-from .estimate import (
-    BinningSpec,
-    empirical_joint_grouped,
-    profile_of_joint,
-)
-from .gaussian import gaussian_d, gaussian_r, lambda_max, noise_curve
 from .io import load_covariance_csv, load_joint_csv, load_samples_csv, select_column
-from .spectral import (
-    DEFAULT_ORDER_TOL,
-    SingularSpectrum,
-    dependence_scale,
-    gram_det_oracle,
-    singular_spectrum,
-)
+from .joints import DEFAULT_ORDER_TOL
+
+if TYPE_CHECKING:
+    from .spectral import SingularSpectrum
+
+
+def _deferred(module: str, name: str) -> Callable[..., Any]:
+    """``depscale.<module>.<name>``, its module imported on the first call.
+    Handlers call it as a module global, where perfbench/traced.py wraps it."""
+    home = f"{__package__}.{module}"
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        return getattr(import_module(home), name)(*args, **kwargs)
+
+    call.__module__, call.__name__, call.__qualname__ = home, name, name
+    return call
+
+
+ace_subspace = _deferred("ace", "ace_subspace")
+BinningSpec = _deferred("estimate", "BinningSpec")
+empirical_joint_grouped = _deferred("estimate", "empirical_joint_grouped")
+profile_of_joint = _deferred("estimate", "profile_of_joint")
+gaussian_d = _deferred("gaussian", "gaussian_d")
+gaussian_r = _deferred("gaussian", "gaussian_r")
+lambda_max = _deferred("gaussian", "lambda_max")
+noise_curve = _deferred("gaussian", "noise_curve")
+dependence_scale = _deferred("spectral", "dependence_scale")
+gram_det_oracle = _deferred("spectral", "gram_det_oracle")
+singular_spectrum = _deferred("spectral", "singular_spectrum")
 # Not called here: the report reads completeness off the spectrum.  Kept as a
 # module attribute because perfbench/traced.py wraps every library name it
 # expects the CLI to look up.
-from .structure import check_completeness  # noqa: F401
+check_completeness = _deferred("structure", "check_completeness")
 
 SCHEMA = "v1"
 
@@ -49,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
     except DepscaleError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: an argument too large to allocate for (--restarts, --max-order).
         _emit_error("InvalidArgument", str(exc))
         return 2
     except OSError as exc:
@@ -267,5 +289,26 @@ def _emit_error(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"schema": SCHEMA, "error": code, "message": message}) + "\n")
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m depscale.cli`` and the ``depscale``
+    script: :func:`main`, both streams flushed, then ``os._exit`` without the
+    interpreter's teardown, which nothing needs: ``main`` has reaped its parse
+    child and joined its SVD thread.  A report that cannot be written is
+    exit 1, silent when a pipe's reader has gone, else an ``Output`` error."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # --help, after printing usage
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1
+    except OSError as exc:
+        code = 1
+        _emit_error("Output", str(exc))
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -33,6 +33,9 @@ from .errors import (
 #: Allowed deviation of an *input* table's total mass from 1 before rejection.
 INPUT_MASS_TOL = 1e-9
 
+#: Default threshold below which a singular value is treated as zero.
+DEFAULT_ORDER_TOL = 1e-10
+
 
 def check_tol(tol: float) -> None:
     """Reject a numerical tolerance that is negative or not finite."""

@@ -39,14 +39,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import (DiscreteJoint, _debug_logger, _frozen_array, _quarter_split, check_tol,
-                     conditional_matrix)
+from .joints import (DEFAULT_ORDER_TOL, DiscreteJoint, _debug_logger, _frozen_array,
+                     _quarter_split, check_tol, conditional_matrix)
 
 #: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
 SPECTRUM_SLACK = 1e-10
-
-#: Default threshold below which a singular value is treated as zero.
-DEFAULT_ORDER_TOL = 1e-10
 
 #: A normalized table of at least this many cells has the SVDs of Q and Qc
 #: run side by side, Q's on a second thread, with numpy's OpenBLAS held to

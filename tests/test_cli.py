@@ -1,18 +1,25 @@
 """End-to-end command-line checks: reports, formats, and error objects.
 
-Every assertion goes through ``main(argv)`` in process so stdout/stderr and
-exit codes are exercised exactly as a shell user would see them.
+Most assertions go through ``main(argv)`` in process, so stdout/stderr and
+exit codes are exercised exactly as a shell user would see them; the last
+two classes start ``python -m depscale.cli`` itself, to hold the process
+entry to ``main`` and each start to the modules its subcommand runs.
 """
 
 import argparse
+import ast
 import csv
+import importlib
 import inspect
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +367,9 @@ class TestEstimateProperties:
     @settings(max_examples=150, deadline=None)
     @given(sample=_quirky_samples(), bins=st.integers(2, 4),
            strategy=st.sampled_from(["quantile", "uniform-width", "categorical"]))
+    @example(sample=("0,0\n" * 7 + "0,1\n1,0\n1,1\n",
+                     [["0", "0"]] * 7 + [["0", "1"], ["1", "0"], ["1", "1"]]),
+             bins=2, strategy="quantile")
     def test_report_or_one_structured_error(self, tmp_path_factory, sample, bins,
                                             strategy):
         text, rows = sample
@@ -381,7 +391,9 @@ class TestEstimateProperties:
             assert [n_x, n_y] == [_distinct([r[x] for r in body]),
                                   _distinct([r[y] for r in body])]
         assert len(report["sigma"]) == min(n_x, n_y) - 1
-        assert report["D"][0] == report["R"] ** 2
+        # D[0] is the rounded product R * R.  R ** 2 calls libm's pow, which
+        # can round a near tie the other way (the @example: R = 3/8 - 2**-54).
+        assert report["D"][0] == report["R"] * report["R"]
 
 
 class TestOneSpectrumPerReport:
@@ -786,6 +798,27 @@ class TestArguments:
         # Exact up to the wording of the choices, which varies across Pythons.
         assert error["message"].startswith(message)
 
+    @pytest.mark.parametrize(
+        "command, library_call, option",
+        [("oracle", "gram_det_oracle", "--restarts"),
+         ("compute", "singular_spectrum", "--max-order")],
+    )
+    def test_an_argument_too_large_to_allocate_is_an_invalid_argument(
+        self, capsys, tmp_path, monkeypatch, command, library_call, option
+    ):
+        # The real call would ask numpy for about 745 GiB, which memory
+        # overcommit can grant lazily; so the library call is made to fail.
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, library_call, too_large)
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        code, out, err = run_cli(capsys, command, path, option, "100000000000")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"schema": "v1", "error": "InvalidArgument", "message": message}
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compute", "--help"])
@@ -793,3 +826,194 @@ class TestArguments:
         out = capsys.readouterr().out
         assert out.startswith("usage: depscale compute")
         assert "--seed" not in out and "--tol" in out
+
+
+# ---------------------------------------------------------------------------
+# the process: ``python -m depscale.cli`` and the console script
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def child_env():
+    """This environment with the package importable and stdout buffered as
+    by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_process(*argv, **kwargs):
+    """``python -m depscale.cli ARGV`` in a fresh interpreter, output
+    captured unless ``stdout`` is given."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "depscale.cli", *argv], env=child_env(),
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+def run_main(capsys, argv):
+    """``main(argv)`` in process: exit code, stdout, stderr; ``--help`` included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def readme_files(tmp_path):
+    """The README's inputs, and one for each error exit, by placeholder name."""
+    return {
+        "joint": write(tmp_path, "fixture.csv", FIXTURE_CSV),
+        "samples": write_samples(tmp_path),
+        "cov": write(tmp_path, "cov.csv", "1,0.5\n0.5,1\n"),
+        "unnormalized": write(tmp_path, "not_normalized.csv", "0.3,0.1\n0.1,0.3\n"),
+        "slow": write_table(tmp_path, "slow.csv",
+                            random_joint(np.random.default_rng(0), 16, 16).probs),
+    }
+
+
+#: 10,000 noise scales: a report of about 370 KB, more than a pipe buffer.
+MANY_LAMBDAS = [repr(float(v)) for v in np.linspace(-5.0, 5.0, 10_000)]
+
+
+class TestProcessEntry:
+    """``python -m depscale.cli`` gives what ``main`` gives in process, and a
+    report it cannot write is exit 1 with no traceback."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "{joint}"],
+            ["estimate", "{samples}", "--x", "x", "--y", "y"],
+            ["gaussian", "{cov}", "--dim-x", "1", "--lambdas", "0", "0.5", "1"],
+            ["transforms", "{joint}"],
+            ["oracle", "{joint}"],
+        ],
+        ids=["compute", "estimate", "gaussian", "transforms", "oracle"],
+    )
+    def test_every_subcommand(self, capsys, readme_files, argv, fmt):
+        argv = [a.format(**readme_files) for a in argv] + ["--format", fmt]
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            run_main(capsys, argv) and proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compute", "{unnormalized}"], 2),
+            (["transforms", "{slow}", "--max-iter", "1"], 3),
+            (["compute", "--help"], 0),
+        ],
+        ids=["exit-2", "exit-3", "help"],
+    )
+    def test_exits(self, capsys, readme_files, argv, code):
+        argv = [a.format(**readme_files) for a in argv]
+        proc = run_process(*argv)
+        expected = run_main(capsys, argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+        assert expected[0] == code
+        assert bool(expected[1]) == (code == 0)
+
+    def test_a_report_longer_than_a_pipe_buffer_arrives_whole(self, capsys, readme_files):
+        argv = ["gaussian", readme_files["cov"], "--dim-x", "1", "--lambdas", *MANY_LAMBDAS]
+        proc = run_process(*argv)
+        assert len(proc.stdout) > 300_000
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            run_main(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "{joint}"], ["gaussian", "{cov}", "--dim-x", "1", "--lambdas", "*"]],
+        ids=["buffered-report", "long-report"],
+    )
+    def test_a_pipe_with_no_reader_is_exit_1_and_silent(self, readme_files, argv):
+        argv = [a.format(**readme_files) for a in argv]
+        if argv[-1] == "*":
+            argv[-1:] = MANY_LAMBDAS
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = run_process(*argv, stdout=w)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_is_an_output_error(self, readme_files):
+        with open("/dev/full", "wb") as full:
+            proc = run_process("compute", readme_files["joint"], stdout=full)
+        assert proc.returncode == 1
+        error = json.loads(proc.stderr)
+        assert (error["schema"], error["error"]) == ("v1", "Output")
+        assert "No space left on device" in error["message"]
+
+    def test_the_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["depscale"]
+        module, attr = target.split(":")
+        tree = ast.parse(Path(cli.__file__).read_text())
+        (guard,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        (called,) = [node.func.id for node in ast.walk(guard) if isinstance(node, ast.Call)]
+        assert getattr(importlib.import_module(module), attr) is getattr(cli, called)
+
+
+def loaded_after(code):
+    """The ``depscale.*`` submodules a fresh interpreter holds after ``code``."""
+    probe = code + (
+        "\nimport sys"
+        "\nprint(sorted(m[9:] for m in sys.modules if m.startswith('depscale.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+START = {"cli", "errors", "io", "joints"}
+
+
+class TestImportScope:
+    """A start imports only the modules its subcommand runs."""
+
+    def test_the_package_loads_no_submodule(self):
+        assert loaded_after("import depscale") == set()
+
+    def test_the_cli_loads_only_its_input_modules(self):
+        assert loaded_after("import depscale.cli") == START
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["compute", "{joint}"], {"spectral"}),
+            (["oracle", "{joint}"], {"spectral"}),
+            (["estimate", "{samples}", "--x", "x", "--y", "y"], {"estimate", "spectral"}),
+            (["transforms", "{joint}"], {"ace"}),
+            (["gaussian", "{cov}", "--dim-x", "1", "--lambdas", "1"], {"gaussian"}),
+        ],
+        ids=["compute", "oracle", "estimate", "transforms", "gaussian"],
+    )
+    def test_each_subcommand_loads_only_its_own_modules(self, readme_files, argv, extra):
+        argv = [a.format(**readme_files) for a in argv]
+        code = (
+            "from contextlib import redirect_stdout\n"
+            "from io import StringIO\n"
+            "from depscale.cli import main\n"
+            "with redirect_stdout(StringIO()):\n"
+            f"    assert main({argv!r}) == 0"
+        )
+        assert loaded_after(code) == START | extra
+
+    def test_star_import_and_dir_list_every_public_name(self):
+        code = (
+            "import depscale\n"
+            "from depscale import *\n"
+            "names = depscale.__all__\n"
+            "assert len(names) == 48, len(names)\n"
+            "assert [n for n in names if n not in globals()] == []\n"
+            "assert [n for n in names if n not in dir(depscale)] == []"
+        )
+        assert loaded_after(code) == {
+            "ace", "errors", "estimate", "gaussian", "io", "joints", "spectral", "structure"}

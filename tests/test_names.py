@@ -53,3 +53,23 @@ def test_every_traced_lookup_resolves():
         if not callable(getattr(importlib.import_module(f"depscale.{module}"), attr, None))
     ]
     assert missing == []
+
+
+
+def test_every_library_name_the_cli_holds_resolves_to_its_home():
+    # The CLI imports most library modules on a name's first call, so a name
+    # it holds must name a module and an attribute there that exist.
+    from depscale import cli
+
+    library = {
+        name: value for name, value in vars(cli).items()
+        if callable(value) and getattr(value, "__module__", "").startswith("depscale.")
+        and value.__module__ != "depscale.cli"
+    }
+    assert {attr for module, attr in traced_lookups() if module == "cli"} <= set(library)
+    unresolved = [
+        name for name, value in library.items()
+        if value.__name__ != name
+        or not callable(getattr(importlib.import_module(value.__module__), name, None))
+    ]
+    assert unresolved == []
