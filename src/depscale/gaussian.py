@@ -42,7 +42,7 @@ def gaussian_r(g: GaussianJoint) -> float:
     """Maximal correlation of a Gaussian pair: sqrt(lambda_max)."""
     if g.is_scalar:
         v11, v12, v22 = float(g.v11[0, 0]), float(g.v12[0, 0]), float(g.v22[0, 0])
-        return min(_scalar_r(v11, v12, v22), 1.0)
+        return float(min(_scalar_r(v11, v12, v22), 1.0))
     return float(np.sqrt(lambda_max(g)))
 
 

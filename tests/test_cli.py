@@ -29,7 +29,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_finite_rank, random_independent, random_joint
 from depscale import dependence_scale, make_joint, singular_spectrum
-from depscale import cli
+from depscale import cli, spectral
 from depscale.cli import main
 
 FIXTURE_CSV = "0.4,0.1\n0.1,0.4\n"
@@ -591,6 +591,13 @@ class TestGaussian:
         assert report["D"] == 0.25
         assert report["lambda_max"] == 0.25
 
+    def test_scalar_csv_prints_plain_floats(self, capsys, tmp_path):
+        path = write(tmp_path, "c.csv", "1,0.5\n0.5,1\n")
+        code, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "1", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "field,index,value", "schema,,v1", "R,,0.5", "D,,0.25", "lambda_max,,0.25"]
+
     def test_block_diagonal_is_independent(self, capsys, tmp_path):
         path = write(tmp_path, "c.csv", "1,0\n0,1\n")
         _, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "1")
@@ -961,15 +968,21 @@ class TestProcessEntry:
         assert getattr(importlib.import_module(module), attr) is getattr(cli, called)
 
 
+def output_of(code, **env):
+    """The stdout of ``code`` in a fresh interpreter whose environment sets
+    ``OPENBLAS_THREAD_TIMEOUT`` only as ``env`` does."""
+    base = {k: v for k, v in child_env().items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
 def loaded_after(code):
     """The ``depscale.*`` submodules a fresh interpreter holds after ``code``."""
     probe = code + (
         "\nimport sys"
         "\nprint(sorted(m[9:] for m in sys.modules if m.startswith('depscale.')))"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
-                          capture_output=True, text=True, timeout=120, check=True)
-    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(output_of(probe).splitlines()[-1]))
 
 
 START = {"cli", "errors", "io", "joints"}
@@ -1017,3 +1030,37 @@ class TestImportScope:
         )
         assert loaded_after(code) == {
             "ace", "errors", "estimate", "gaussian", "io", "joints", "spectral", "structure"}
+
+
+class TestBlasIdleSpin:
+    """The CLI's own process lets OpenBLAS's idle worker sleep after about
+    2 ms; a value the user set, or a numpy loaded before, is left alone."""
+
+    @pytest.mark.parametrize(
+        "code, env, want",
+        [
+            ("import depscale.cli", {}, "22"),
+            ("import depscale.cli", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+            ("import numpy\nimport depscale.cli", {}, "None"),
+        ],
+        ids=["set", "user-value-kept", "numpy-loaded-first"],
+    )
+    def test_the_timeout_is_set_before_numpy_loads(self, code, env, want):
+        read = "\nimport os\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        assert output_of(code + read, **env).split() == [want]
+
+    def test_the_idle_worker_stops_spinning(self):
+        if spectral._openblas() is None:
+            pytest.skip("numpy carries no OpenBLAS of its own")
+        # OpenBLAS's own timeout spins the worker about 0.1 s after the
+        # import and again after the product: about 0.2 s of CPU in all.
+        code = (
+            "import time\n"
+            "import depscale.cli\n"
+            "import numpy as np\n"
+            "a = np.random.default_rng(0).random((600, 600))\n"
+            "a @ a\n"
+            "time.sleep(0.3)\n"
+            "print(time.process_time() - time.thread_time())"
+        )
+        assert float(output_of(code)) < 0.06

@@ -29,6 +29,13 @@ def test_scalar_half():
     assert gaussian_d(scalar(0.5)) == 0.25
 
 
+def test_scalar_values_are_python_floats():
+    g = scalar(0.5)
+    assert type(gaussian_r(g)) is float
+    assert type(lambda_max(g)) is float
+    assert type(gaussian_d(g)) is float
+
+
 def test_zero_cross_block_means_independence():
     g = GaussianJoint(v11=np.eye(2), v12=np.zeros((2, 2)), v22=np.eye(2))
     assert gaussian_r(g) == 0.0

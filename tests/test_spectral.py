@@ -446,15 +446,15 @@ class TestSideBySide:
         path = _write_table(tmp_path / "j.csv", w)
         src = str(Path(depscale.__file__).parents[1])
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")}
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         runs = [
             subprocess.run([sys.executable, "-m", "depscale.cli", "compute", path],
                            env=dict(env, **extra), capture_output=True, check=True,
                            timeout=120).stdout
-            for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+            for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_THREAD_TIMEOUT": "28"})
         ]
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
