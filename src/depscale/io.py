@@ -171,6 +171,28 @@ def _loadtxt(data: bytes, start: int, head: Sequence[str] = ()) -> np.ndarray:
         )
 
 
+def _current_cpu() -> int | None:
+    """The CPU this thread last ran on, from Linux's ``/proc``; else None."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, the 37th after the parenthesised command name
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Keep this process off ``cpu`` when another usable CPU remains."""
+    if cpu is None:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:  # a CPU set the host does not allow: stay put
+            pass
+
+
 def _parse_body(
     data: bytes, head: list[str], rest: int, start: int
 ) -> tuple[np.ndarray, str]:
@@ -183,10 +205,16 @@ def _parse_body(
     float64 bytes down a pipe.  Both halves go through the same parser, so
     the values are those of one pass.  A failed child (an error, a short
     read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
+
+    The child first leaves the CPU this process ran on at the fork.  When
+    the other vCPU of a VM has idled since start-up, Linux at times starts
+    the child beside its parent, and the halves then share one CPU until
+    the load balancer moves one.
     """
     mid = _split_point(data, start)
     if mid is None:
         return _loadtxt(data, rest, head), "one pass"
+    cpu = _current_cpu()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -198,6 +226,7 @@ def _parse_body(
         code = 1
         try:
             os.close(r)  # so that its write fails once the parent closes r
+            _leave_cpu(cpu)
             rows = _loadtxt(data[:mid], start)  # the copy is the child's alone
             with open(w, "wb") as out:
                 out.write(np.array(rows.shape, dtype=np.int64).tobytes())

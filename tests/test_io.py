@@ -441,6 +441,25 @@ class TestTwoProcessParse:
             "(could not convert string to float: 'oops')",
         )
 
+    def test_child_leaves_the_parent_cpu(self, tmp_path, caplog, forks, monkeypatch):
+        """The child asks for every usable CPU but the one its parent ran on."""
+        asked = tmp_path / "affinity"
+        monkeypatch.setattr(depscale.io, "_current_cpu", lambda: 1)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: asked.write_text(repr(sorted(cpus))),
+                            raising=False)
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n" + self.ROWS)
+        got, how = _path_taken(caplog, load_samples_csv, path)
+        assert (how, len(forks)) == ("two processes", 1)
+        assert asked.read_text() == "[0]"
+        assert got == _outcome(_per_cell, load_samples_csv, path)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"),
+                        reason="reads Linux's /proc")
+    def test_current_cpu_is_a_usable_cpu(self):
+        assert depscale.io._current_cpu() in os.sched_getaffinity(0)
+
     def test_failed_fork_parses_in_one_pass(self, tmp_path, caplog, monkeypatch):
         _force_split(monkeypatch)
 
