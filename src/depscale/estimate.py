@@ -44,6 +44,11 @@ Strategy = Literal["quantile", "uniform-width", "categorical"]
 
 _STRATEGIES = ("quantile", "uniform-width", "categorical")
 
+#: The most cells a plug-in joint may have.  A column of distinct strings is
+#: binned one atom per value, so n such rows would make an n x n table; 2**24
+#: cells (4096 x 4096) are 128 MiB of float64, before any SVD copy.
+_MAX_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class BinningSpec:
@@ -136,7 +141,8 @@ def empirical_joint_grouped(
     the product alphabet; with a single column this is exactly
     :func:`empirical_joint`.  Used to study how dependence grows as more
     coordinates are adjoined to Y.  The columns must pass the checks of
-    :class:`~depscale.joints.SampleTable`.
+    :class:`~depscale.joints.SampleTable`, and the table may have at most
+    ``_MAX_CELLS`` cells.
     """
     x, ys = _sample_columns(x, ys)
     n = x.shape[0]
@@ -152,6 +158,10 @@ def empirical_joint_grouped(
     codes_x, *parts = parts
     codes_y = _product_codes(parts)
     n_x, n_y = int(codes_x.max()) + 1, int(codes_y.max()) + 1
+    if n_x * n_y > _MAX_CELLS:
+        raise InvalidDistributionError(
+            f"a plug-in joint of {n_x} x {n_y} atoms is over the {_MAX_CELLS}-cell cap"
+        )
     counts = np.bincount(codes_x * n_y + codes_y, minlength=n_x * n_y).reshape(n_x, n_y)
     return DiscreteJoint(counts / n)
 

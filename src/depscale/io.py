@@ -1,11 +1,12 @@
 """CSV ingestion for joint tables, covariance blocks, and sample files.
 
 One reader, :func:`_read_table`, is behind all three loaders.  It reads the
-file's bytes once; a plain numeric grid is parsed by ``np.loadtxt``
-(:func:`_read_grid`), and any other file becomes an object grid of the
-stripped ``csv`` cells (:func:`_read_cells`).  Each loader keeps only its
-layout rule and casts whole columns with ``astype(float)``, which calls
-``float()`` on every cell, so both ways give the same values and errors.
+file's bytes once.  A plain numeric grid is parsed in place by
+``np.loadtxt`` from its first data row on, and ``csv`` reads only the line
+that may be a header (:func:`_read_grid`); any other file becomes an object
+grid of the stripped ``csv`` cells (:func:`_read_cells`).  Each loader keeps
+only its layout rule and casts whole columns with ``astype(float)``, which
+calls ``float()`` on every cell, so both ways give the same values and errors.
 Anything that does not match the documented layout raises
 :class:`~depscale.errors.FormatError` (or the semantic error from the
 container it feeds) — no silent coercion.
@@ -18,9 +19,8 @@ import csv
 import os
 import re
 from io import BytesIO, TextIOWrapper
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -88,39 +88,24 @@ def _read_grid(
 ) -> tuple[list[str] | None, np.ndarray, str] | None:
     """Header (or None), float body and parse path of a plain numeric grid.
 
-    The first non-blank row goes through ``csv``; unless ``is_header`` names
-    it a header it must be numeric, and it is the body's first row.  None
-    when the ``np.loadtxt`` pass fails or comes back at another width, when
-    the first row is neither header nor numbers, or when no row follows it:
-    :func:`_read_cells` then gives such files its result or its error.
+    ``csv`` reads only the first non-blank line, for ``is_header``, and
+    ``np.loadtxt`` parses from there, or from the next non-blank line after
+    a header, to the end.  None when loadtxt fails (on a whitespace-only
+    line, say) or comes back at another width, when the first line's cells
+    are all blank, or when no row follows it (loadtxt warns on a header
+    alone): :func:`_read_cells` then gives such files its result or error.
     """
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    end = start  # where the lines csv has read so far end
-
-    def text() -> Iterator[str]:
-        nonlocal end
-        for begin, end in _lines(data, end):
-            yield data[begin:end].decode()
-
     try:
-        for first in csv.reader(text()):
-            if _nonblank(first):
-                break
-            start = end
-        else:
+        row = _next_row(data, start)
+        after = _next_row(data, row[1]) if row else None
+        if after is None:
             return None
-        first = [c.strip() for c in first]
+        first = [c.strip() for c in next(csv.reader([data[row[0]:row[1]].decode()]))]
+        if not _nonblank(first):  # all cells blank, as in ",,"
+            return None
         header = is_header(first)
-        if not header and not all(_is_number(c) for c in first):
-            return None
-        # A row must follow: loadtxt warns on an input with no rows.
-        row = _next_row(data, end)
-        if row is None:
-            return None
-        if header:
-            start = row[0]
-        head = [data[a:b].decode() for a, b in ([row] if header else [(start, end), row])]
-        body, how = _parse_body(data, head, row[1], start)
+        body, how = _parse_body(data, after[0] if header else row[0])
     except (OSError, ValueError, csv.Error):
         return None
     if body.shape[1] != len(first):
@@ -160,15 +145,12 @@ def _split_point(data: bytes, start: int) -> int | None:
     return mid if _next_row(data, mid) is not None else None
 
 
-def _loadtxt(data: bytes, start: int, head: Sequence[str] = ()) -> np.ndarray:
-    """One ``np.loadtxt`` pass over the lines ``head`` and then the bytes of
-    ``data`` from ``start`` on."""
+def _loadtxt(data: bytes, start: int) -> np.ndarray:
+    """One ``np.loadtxt`` pass over the bytes of ``data`` from ``start`` on."""
     buffer = BytesIO(data)  # shares the bytes; no copy
     buffer.seek(start)
     with TextIOWrapper(buffer, encoding="utf-8", newline="") as text:
-        return np.loadtxt(
-            chain(head, text), delimiter=",", comments=None, ndmin=2, dtype=float
-        )
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
 
 
 def _current_cpu() -> int | None:
@@ -193,12 +175,10 @@ def _leave_cpu(cpu: int | None) -> None:
             pass
 
 
-def _parse_body(
-    data: bytes, head: list[str], rest: int, start: int
-) -> tuple[np.ndarray, str]:
-    """The grid of the lines ``head`` and then ``data`` from byte ``rest``
-    on, and how it was parsed; the body, ``head`` included, begins at byte
-    ``start``.
+def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
+    """The grid of ``data`` from byte ``start`` to the end, and how it was
+    parsed.  A non-blank row begins at ``start`` and another follows the
+    split point, so neither half of a split is empty.
 
     Given a split point ``mid``, a forked child parses the bytes ``[start,
     mid)`` while this process parses the rest, and sends its shape and
@@ -213,7 +193,7 @@ def _parse_body(
     """
     mid = _split_point(data, start)
     if mid is None:
-        return _loadtxt(data, rest, head), "one pass"
+        return _loadtxt(data, start), "one pass"
     cpu = _current_cpu()
     r, w = os.pipe()
     try:
@@ -221,7 +201,7 @@ def _parse_body(
     except OSError:
         os.close(r)
         os.close(w)
-        return _loadtxt(data, rest, head), "one pass"
+        return _loadtxt(data, start), "one pass"
     if pid == 0:  # the child only parses and sends; it never returns
         code = 1
         try:

@@ -380,13 +380,12 @@ def gram_det_oracle(
     rng = np.random.default_rng(seed)
     B = _retract(rng.standard_normal((restarts, n_x - 1, k)))
     best, n_converged, n_null, n_iter = _ascend_log_det(Mt, B, tol, max_iter)
-    # logging is imported here, its only use, to keep it off the CLI's start-up.
-    import logging
-
-    logging.getLogger("depscale").debug(
-        "gram_det_oracle m=%d: %d of %d restarts converged, %d null, %d iterations",
-        m, n_converged, restarts, n_null, n_iter,
-    )
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "gram_det_oracle m=%d: %d of %d restarts converged, %d null, %d iterations",
+            m, n_converged, restarts, n_null, n_iter,
+        )
     if n_null == restarts:
         return 0.0
     if n_converged == 0:

@@ -572,6 +572,17 @@ class TestEstimate:
             "sample column 'y[1]': uniform-width bin edges overflow a float"
         )
 
+    def test_a_joint_over_the_cell_cap_is_a_structured_error(self, capsys, tmp_path):
+        # 5,000 distinct strings per column would make a 5000 x 5000 table.
+        text = "x,y\n" + "".join(f"a{i},b{i}\n" for i in range(5000))
+        code, out, err = run_cli(capsys, "estimate", write(tmp_path, "s.csv", text),
+                                 "--x", "x", "--y", "y")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "schema": "v1", "error": "InvalidDistribution",
+            "message": "a plug-in joint of 5000 x 5000 atoms is over the 16777216-cell cap",
+        }
+
     @pytest.mark.parametrize("strategy", ["quantile", "categorical"])
     def test_wide_columns_whose_edges_compute_still_bin(self, capsys, tmp_path, strategy):
         path = write(tmp_path, "wide.csv", self.WIDE_RANGE)
@@ -972,8 +983,10 @@ def output_of(code, **env):
     """The stdout of ``code`` in a fresh interpreter whose environment sets
     ``OPENBLAS_THREAD_TIMEOUT`` only as ``env`` does."""
     base = {k: v for k, v in child_env().items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    return subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
-                          capture_output=True, text=True, timeout=120, check=True).stdout
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def loaded_after(code):
@@ -1009,13 +1022,17 @@ class TestImportScope:
         ids=["compute", "oracle", "estimate", "transforms", "gaussian"],
     )
     def test_each_subcommand_loads_only_its_own_modules(self, readme_files, argv, extra):
+        """...and not ``logging``, which a DEBUG record needs only once a
+        caller has imported it."""
         argv = [a.format(**readme_files) for a in argv]
         code = (
+            "import sys\n"
             "from contextlib import redirect_stdout\n"
             "from io import StringIO\n"
             "from depscale.cli import main\n"
             "with redirect_stdout(StringIO()):\n"
-            f"    assert main({argv!r}) == 0"
+            f"    assert main({argv!r}) == 0\n"
+            "assert 'logging' not in sys.modules, 'the start imported logging'"
         )
         assert loaded_after(code) == START | extra
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import depscale.estimate
 from depscale import (
     BinningSpec,
     DiscreteJoint,
@@ -167,6 +168,17 @@ class TestGroupedColumns:
         back = coarsen_y(grouped, list(groups.values()))
         order = np.argsort([g[0] for g in groups.values()])
         assert_allclose(back.probs[:, order], single.probs, atol=1e-15)
+
+    def test_a_table_over_the_cell_cap_is_rejected(self, monkeypatch):
+        # 4 x 3 atoms: 12 cells pass a cap of 12 and fail one of 11.
+        x = np.array(list("abcdabcdabcd"), dtype=object)
+        y = np.array(list("pqrpqrpqrpqr"), dtype=object)
+        spec = BinningSpec(strategy="categorical")
+        monkeypatch.setattr(depscale.estimate, "_MAX_CELLS", 12)
+        assert empirical_joint_grouped(x, [y], spec).probs.shape == (4, 3)
+        monkeypatch.setattr(depscale.estimate, "_MAX_CELLS", 11)
+        with pytest.raises(InvalidDistributionError, match="4 x 3 atoms is over the 11-cell"):
+            empirical_joint_grouped(x, [y], spec)
 
 
 class TestGaussianQuantileJoint:

@@ -282,18 +282,32 @@ _GRIDS = dict(
     fmt=st.sampled_from(sorted(_FORMATS)),
     header=st.booleans(),
     newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+    # (line index, separator): an empty or whitespace-only line inserted
+    # before that line, after the header or between rows
+    gaps=st.lists(st.tuples(st.integers(1, 13), st.sampled_from(["", "  ", "\t"])),
+                  max_size=3),
 )
 
 
-def _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline):
-    """All three loaders give the per-cell path's bytes, or its error."""
+def _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline, bom, gaps):
+    """All three loaders give the per-cell path's bytes, or its error; the
+    grid pass takes the file unless a whitespace-only line follows its first
+    data row."""
     lines = [",".join(map(_FORMATS[fmt], row)) for row in grid]
     if header:
         lines.insert(0, ",".join(f"c{i}" for i in range(len(grid[0]))))
+    gaps = sorted(((min(at, len(lines) - 1), gap) for at, gap in gaps), reverse=True)
+    for at, gap in gaps:
+        lines.insert(at, gap)
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    path.write_bytes((newline.join(lines) + newline).encode())
+    path.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode())
     got, how = _path_taken(caplog, load_samples_csv, path)
-    assert how in ("one pass", "two processes")
+    first_row = int(header)  # its index in lines
+    if any(gap and at > first_row for at, gap in gaps):
+        assert how == "per cell"
+    else:
+        assert how in ("one pass", "two processes")
     assert got == _outcome(_per_cell, load_samples_csv, path)
     # Mass and sign do not matter here: both paths must fail alike too.
     for load, args in ((load_joint_csv, (path,)), (load_covariance_csv, (path, 1))):
@@ -326,17 +340,18 @@ class TestOnePassParse:
     @_REUSE_CAPLOG
     @given(**_GRIDS)
     def test_numeric_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
-                                             header, newline):
-        _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline)
+                                             header, newline, bom, gaps):
+        _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline, bom, gaps)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
     @_REUSE_CAPLOG
     @given(**_GRIDS)
     def test_split_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
-                                           header, newline):
+                                           header, newline, bom, gaps):
         with pytest.MonkeyPatch.context() as mp:
             _force_split(mp)
-            _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline)
+            _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline,
+                                  bom, gaps)
 
     # Each body holds a spelling numpy rejects or a shape it cannot take in
     # one pass; the loader must give what the per-cell path gives.
@@ -348,6 +363,7 @@ class TestOnePassParse:
         "empty-cell row": ("x,y\n1,2\n,\n3,4\n", [1.0, 3.0]),
         "categorical column": ("x,y\na,2\nb,4\n", ["a", "b"]),
         "single data row": ("1,2\n", [1.0]),
+        "blank-celled first row": (",\n1,2\n3,4\n", [1.0, 3.0]),
     }
 
     @pytest.mark.parametrize("name", sorted(FALLBACKS))
@@ -481,7 +497,7 @@ class TestLineEnds:
         "load, text, how",
         [
             (load_joint_csv, "u,v\n0.4,0.1\n\n0.1,0.4\n", "one pass"),
-            (load_joint_csv, "\ufeff0.4,0.1\n  \n0.1,0.4\n", "one pass"),
+            (load_joint_csv, "\ufeff0.4,0.1\n  \n0.1,0.4\n", "per cell"),
             (load_samples_csv, "x,y\n1,2\n3,4\n5,6\n", "one pass"),
             (load_samples_csv, "x,y\na,2\nb,4\n", "per cell"),
         ],
