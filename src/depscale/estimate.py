@@ -7,8 +7,8 @@ are available per column:
 
 ``quantile``
     Equal-mass bins.  Interior edges are midpoint-interpolated order
-    statistics (ties resolved by value, then input order via stable
-    sorting); the default everywhere is 8 x 8.
+    statistics read off one sort of the column; the default everywhere is
+    8 x 8.
 ``uniform-width``
     Equal-width bins spanning [min, max].
 ``categorical``
@@ -16,8 +16,9 @@ are available per column:
 
 Bins that receive no samples are dropped: the atom alphabet is exactly the
 nonempty bins, numbered in order, and an atom is its index (no interval or
-value labels are kept).  A column that quantile or uniform binning cannot
-split (constant, or collapsed by ties) falls back to categorical.
+value labels are kept).  Numeric codes are found by comparison with the
+edges.  A column that quantile or uniform binning cannot split (constant,
+or collapsed by ties) falls back to categorical.
 
 Plug-in estimates are biased upward for small samples; reports carry an
 explicit flag once n < 10 * |X| * |Y|.
@@ -101,23 +102,35 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
     Codes are dense in 0..k-1 with every atom occupied, so the alphabet size
     is ``codes.max() + 1``; empty bins are dropped and the occupied ones keep
     their order.  Categorical codes number the distinct values in sorted
-    order.  Numeric strategies fall back to categorical when the edges
-    collapse, and raise ``FloatingPointError`` when computing the edges
-    overflows.
+    order.  A numeric column must be non-empty and finite, or
+    ``InvalidDistributionError`` is raised.  Numeric strategies fall back to
+    categorical when the edges collapse, and raise ``FloatingPointError``
+    when computing the edges overflows.
     """
     if strategy == "categorical" or values.dtype == object:
         return np.unique(values.astype(str) if values.dtype == object else values,
                          return_inverse=True)[1]
-    col = values.astype(float)
+    col = values.astype(float, copy=False)
+    if col.size == 0 or not np.all(np.isfinite(col)):
+        raise InvalidDistributionError("a numeric column to bin must be non-empty and finite")
     with np.errstate(over="raise", invalid="raise"):
         if strategy == "quantile":
-            qs = np.arange(1, bins) / bins
-            edges = np.quantile(col, qs, method="midpoint")
+            # np.quantile(col, k / bins, method="midpoint") by numpy's arithmetic.
+            s = np.sort(col)
+            v = (s.size - 1) * (np.arange(1, bins) / bins)
+            lo = np.floor(v).astype(np.intp)
+            a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
+            edges = np.where(v == lo, a + (b - a) * 0, b - (b - a) * 0.5)
         elif strategy == "uniform-width":
             edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
         else:  # pragma: no cover - BinningSpec already screens strategies
             raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
-    codes = np.digitize(col, edges)
+    if bins > 128:  # past about 160 bins a binary search beats a pass per edge
+        codes = np.digitize(col, edges)
+    else:  # np.digitize's codes, for finite values and non-decreasing edges
+        codes = np.zeros(col.shape, np.uint8)
+        for edge in edges:
+            codes += col >= edge
     occupied = np.flatnonzero(np.bincount(codes, minlength=bins))
     if occupied.size < 2:
         # Degenerate edges: the column is constant or collapses under ties.
@@ -172,11 +185,16 @@ def _product_codes(parts: Sequence[np.ndarray]) -> np.ndarray:
     Tuples are numbered in lexicographic order, first column most
     significant (the order of ``np.unique(axis=0)``).  The code is
     re-densified after each column, so it stays below the sample count and
-    no array is sized by the product of the alphabets.
+    no array is sized by the product of the alphabets: ``np.bincount``
+    renumbers a combined code below the sample count, ``np.unique`` others.
     """
     code = parts[0]
     for col in parts[1:]:
-        code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)[1]
+        code = code * (int(col.max()) + 1) + col
+        if int(code.max()) < code.size:
+            code = (np.cumsum(np.bincount(code) > 0) - 1)[code]
+        else:
+            code = np.unique(code, return_inverse=True)[1]
     return code
 
 

@@ -1023,7 +1023,7 @@ class TestImportScope:
     )
     def test_each_subcommand_loads_only_its_own_modules(self, readme_files, argv, extra):
         """...and not ``logging``, which a DEBUG record needs only once a
-        caller has imported it."""
+        caller has imported it, nor ``numpy.ma``, which ``np.quantile`` loads."""
         argv = [a.format(**readme_files) for a in argv]
         code = (
             "import sys\n"
@@ -1032,7 +1032,8 @@ class TestImportScope:
             "from depscale.cli import main\n"
             "with redirect_stdout(StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
-            "assert 'logging' not in sys.modules, 'the start imported logging'"
+            "assert 'logging' not in sys.modules, 'the start imported logging'\n"
+            "assert 'numpy.ma' not in sys.modules, 'the start imported numpy.ma'"
         )
         assert loaded_after(code) == START | extra
 

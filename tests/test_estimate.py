@@ -64,6 +64,16 @@ class TestBinColumn:
         codes = bin_column(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]), 3, "quantile")
         assert codes.tolist() == [0, 0, 0, 0, 1, 1]
 
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width"])
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], [-np.inf, 0.0, 1.0], []],
+        ids=["nan", "inf", "-inf", "empty"],
+    )
+    def test_non_finite_or_empty_numeric_columns_are_rejected(self, values, strategy):
+        with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
+            bin_column(np.array(values, dtype=float), 2, strategy)
+
     def test_codes_are_dense_and_every_bin_occupied(self):
         rng = np.random.default_rng(50)
         for strategy in ("quantile", "uniform-width"):
@@ -257,6 +267,8 @@ class TestCountingMatchesReference:
         BinningSpec("quantile", 4, 4),
         BinningSpec("uniform-width", 5, 6),
         BinningSpec("categorical"),
+        # Over 128 bins the codes come from np.digitize, not from comparisons.
+        pytest.param(BinningSpec("quantile", 200, 129), id="quantile-200"),
     ]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.strategy)
@@ -288,6 +300,27 @@ class TestCountingMatchesReference:
             for col in (x, *ys):
                 codes = bin_column(col, bins, strategy)
                 assert np.array_equal(codes, _reference_bin_column(col, bins, strategy))
+            j = empirical_joint_grouped(x, ys, spec)
+            assert np.array_equal(j.probs, _reference_grouped(x, ys, spec))
+
+    # Non-integer floats, signed zeros and ties, up to +-1e300 (edges stay finite).
+    CELLS = st.one_of(
+        st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 0.5, -2.25, 1e300, -1e300])
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=2, max_size=200),
+        strategy=st.sampled_from(["quantile", "uniform-width"]),
+        bins=st.integers(2, 12),
+    )
+    def test_grouped_joint_on_float_columns(self, data, strategy, bins):
+        x, y, z = (np.array(c, dtype=float) for c in zip(*data))
+        spec = BinningSpec(strategy, bins, bins)
+        for col in (x, y, z):
+            codes = bin_column(col, bins, strategy)
+            assert np.array_equal(codes, _reference_bin_column(col, bins, strategy))
+        for ys in ([y], [y, z], [z, y, x]):
             j = empirical_joint_grouped(x, ys, spec)
             assert np.array_equal(j.probs, _reference_grouped(x, ys, spec))
 
