@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joints import DiscreteJoint, FunctionTable, check_tol
-
-#: Variance below which an image is treated as constant (degenerate path).
-_DEGENERATE_VAR = 1e-24
+from .joints import (DEFAULT_ORDER_TOL, STANDARDIZED_TOL, VANISHING_SHARE, DiscreteJoint,
+                     FunctionTable, check_tol)
 
 #: Functions iterated beyond the k requested (capped at n_x - 1).
 _OVERSAMPLE = 8
@@ -65,14 +63,14 @@ def _standardize(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, f
     mu = values @ weights
     centered = values - mu
     var = float((centered**2) @ weights)
-    if var <= _DEGENERATE_VAR:
+    if var == 0:
         return np.zeros_like(values), var
     return centered / np.sqrt(var), var
 
 
 def ace_pair(
     j: DiscreteJoint,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_ORDER_TOL,
     max_iter: int = 10_000,
     seed: int = 0,
 ) -> TransformPair:
@@ -90,7 +88,7 @@ def ace_pair(
 def ace_subspace(
     j: DiscreteJoint,
     k: int,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_ORDER_TOL,
     max_iter: int = 10_000,
     seed: int = 0,
 ) -> list[TransformPair]:
@@ -102,7 +100,7 @@ def ace_subspace(
     leading pair that is not degenerate has residual
     ||E{psi_i|X} - rho_i phi_i|| <= ``tol`` (finite and >= 0; below 64
     machine epsilons, tol = 0 included, it is raised to that roundoff level).
-    Pairs beyond the joint's nontrivial rank are flagged degenerate, rho = 0.
+    Pairs with rho at most that tol, or beyond the rank, are degenerate, rho = 0.
     ``max_iter`` (the sweep budget) must be at least 1.
     """
     if k < 1:
@@ -110,6 +108,7 @@ def ace_subspace(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_tol(tol)
+    cut = max(tol, _MIN_TOL)
     p_x, p_y = j.p_x, j.p_y
     # Conditional expectation operators as plain matrices:
     # (E{phi|Y})(y) = sum_x phi(x) P(x,y)/p_y(y), and symmetrically.
@@ -136,7 +135,7 @@ def ace_subspace(
         V = np.linalg.eigh((C + C.T) / 2.0)[1][:, ::-1]
         F, G = F @ V, V.T @ G
         # Read as variances of the rotated images, not as eigenvalues of C,
-        # the Ritz values of null directions stay below the degenerate floor.
+        # the Ritz values of null directions stay at roundoff, below the cut.
         rho2 = (G**2) @ p_y
         trace.append(float(np.sqrt(rho2[0])))
         back = to_x @ G.T  # E{G|X}
@@ -144,8 +143,8 @@ def ace_subspace(
         # (back_i - rho_i^2 phi_i) / rho_i; compare it to tol without dividing.
         lead = rho2[:k_eff]
         res = np.sqrt(((back[:, :k_eff] - F[:, :k_eff] * lead) ** 2).T @ p_x)
-        live = lead > _DEGENERATE_VAR
-        if np.all(res[live] <= max(tol, _MIN_TOL) * np.sqrt(lead[live])):
+        live = np.sqrt(lead) > cut
+        if np.all(res[live] <= cut * np.sqrt(lead[live])):
             converged = True
             break
         F = _orthonormal_frame(back, p_x)
@@ -155,7 +154,7 @@ def ace_subspace(
         phi = F[:, i]
         image = phi @ to_y
         psi, var = _standardize(image, p_y)
-        if var <= _DEGENERATE_VAR:
+        if np.sqrt(var) <= cut:
             out.append(_degenerate_pair(j, phi, sweeps, trace))
             continue
         rho = float(np.einsum("x,xy,y->", phi, j.probs, psi))
@@ -186,14 +185,12 @@ def _degenerate_pair(
     """A flagged rho = 0 pair with arbitrary (standardized where possible) tables."""
     p_x, p_y = j.p_x, j.p_y
     if phi is None:
-        phi, phi_var = _standardize(np.arange(j.n_x, dtype=float), p_x)
-    else:
-        mu = phi @ p_x
-        phi_var = float(((phi - mu) ** 2) @ p_x)
+        phi = _standardize(np.arange(j.n_x, dtype=float), p_x)[0]
+    phi_var = _standardize(phi, p_x)[1]
     psi, psi_var = _standardize(np.arange(j.n_y, dtype=float), p_y)
     return TransformPair(
-        phi=FunctionTable(phi, "x", standardized=abs(phi_var - 1.0) <= 1e-8),
-        psi=FunctionTable(psi, "y", standardized=psi_var > _DEGENERATE_VAR),
+        phi=FunctionTable(phi, "x", standardized=abs(phi_var - 1.0) <= STANDARDIZED_TOL),
+        psi=FunctionTable(psi, "y", standardized=psi_var > 0),
         rho=0.0,
         converged=True,
         degenerate=True,
@@ -223,7 +220,7 @@ def _sign_normalize(phi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     scale = np.max(np.abs(phi))
     if scale == 0:
         return phi, psi
-    nonzero = np.nonzero(np.abs(phi) > 1e-9 * scale)[0]
+    nonzero = np.nonzero(np.abs(phi) > VANISHING_SHARE * scale)[0]
     if nonzero.size and phi[nonzero[0]] < 0:
         return -phi, -psi
     return phi, psi

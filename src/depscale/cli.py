@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DepscaleError, NonConvergenceError
 from .io import load_covariance_csv, load_joint_csv, load_samples_csv, select_column
-from .joints import DEFAULT_ORDER_TOL
+from .joints import DEFAULT_ORDER_TOL, ORACLE_TOL
 
 if TYPE_CHECKING:
     from .spectral import SingularSpectrum
@@ -56,7 +56,6 @@ ace_subspace = _deferred("ace", "ace_subspace")
 BinningSpec = _deferred("estimate", "BinningSpec")
 empirical_joint_grouped = _deferred("estimate", "empirical_joint_grouped")
 profile_of_joint = _deferred("estimate", "profile_of_joint")
-gaussian_d = _deferred("gaussian", "gaussian_d")
 gaussian_r = _deferred("gaussian", "gaussian_r")
 lambda_max = _deferred("gaussian", "lambda_max")
 noise_curve = _deferred("gaussian", "noise_curve")
@@ -160,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=0, help="scale order to audit (default 0)")
     p.add_argument("--restarts", type=int, default=32,
                    help="ascent restarts (default 32)")
-    common(p, tol_default=1e-12)
+    common(p, tol_default=ORACLE_TOL)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized steps (default 0)")
     p.set_defaults(handler=_cmd_oracle)
@@ -202,11 +201,12 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_gaussian(args: argparse.Namespace) -> dict[str, Any]:
     g = load_covariance_csv(args.cov, args.dim_x)
+    d = lambda_max(g)  # D = R^2 = lambda_max
     report: dict[str, Any] = {
         "schema": SCHEMA,
         "R": gaussian_r(g),
-        "D": gaussian_d(g),
-        "lambda_max": lambda_max(g),
+        "D": d,
+        "lambda_max": d,
     }
     if args.lambdas is not None:
         curve = noise_curve(g, np.asarray(sorted(args.lambdas), dtype=float),

@@ -11,10 +11,11 @@ R = sqrt(lambda_max), D = R^2 = lambda_max.  Scalar blocks short-circuit to
 |v12| / sqrt(v11 * v22) so the 1x1 case is exact, not merely close; each
 variance is split as a * 4**s first, so the product cannot overflow.
 
-Inverse square roots go through a symmetric eigendecomposition.  No floor is
-needed here: :class:`~depscale.joints.GaussianJoint` already rejects a block
-with an eigenvalue at or below 1e-12 rather than pseudo-inverting it, because
-a silently regularized answer would not be the quantity named above.
+Blocks are read from the equilibrated matrix, as scaling X or Y leaves R
+alone, and R is the top singular value of v11^{-1/2} v12 v22^{-1/2}.  No floor
+is needed: :class:`~depscale.joints.GaussianJoint` rejects a block with an
+equilibrated eigenvalue at or below ``COV_FLOOR`` rather than pseudo-inverting
+it, as a silently regularized answer would not be the quantity named above.
 """
 
 from __future__ import annotations
@@ -24,18 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, NotScalarError
-from .joints import GaussianJoint, _quarter_split
+from .joints import CURVE_SLACK, GaussianJoint, _quarter_split
 
 def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
     if g.is_scalar:
         return gaussian_r(g) ** 2
-    wx, vx = np.linalg.eigh(g.v11 / 2.0 + g.v11.T / 2.0)
-    wy, vy = np.linalg.eigh(g.v22 / 2.0 + g.v22.T / 2.0)
-    isq = (vx / np.sqrt(wx)) @ vx.T
-    sigma = isq @ g.v12 @ ((vy / wy) @ vy.T) @ g.v12.T @ isq
-    w = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)
-    return float(min(max(float(w[-1]), 0.0), 1.0))
+    e, m = g.scaled, g.dim_x
+    wx, vx = np.linalg.eigh(e[:m, :m])
+    wy, vy = np.linalg.eigh(e[m:, m:])
+    c = (vx / np.sqrt(wx)).T @ e[:m, m:] @ (vy / np.sqrt(wy))
+    return float(min(np.linalg.norm(c, 2) ** 2, 1.0))
 
 
 def gaussian_r(g: GaussianJoint) -> float:
@@ -79,7 +79,7 @@ class NoiseCurve:
             raise ValueError("lambdas must be strictly increasing")
         neg = lam <= 0
         pos = lam >= 0
-        if np.any(np.diff(r[neg]) < -1e-12) or np.any(np.diff(r[pos]) > 1e-12):
+        if np.any(np.diff(r[neg]) < -CURVE_SLACK) or np.any(np.diff(r[pos]) > CURVE_SLACK):
             raise ValueError("r_values must rise toward lambda = 0 and fall after it")
         lam.flags.writeable = False
         r.flags.writeable = False

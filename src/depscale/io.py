@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
-from .joints import DiscreteJoint, GaussianJoint, _debug_logger, _require_symmetric, make_joint
+from .joints import DiscreteJoint, GaussianJoint, _debug_logger, _equilibrate, make_joint
 
 #: A numeric body of at least this many bytes is parsed in two halves at
 #: once, one of them in a forked child, when more than one CPU is usable.
@@ -287,7 +287,7 @@ def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:
         raise FormatError(f"{path}: covariance matrix must be square, got {full.shape}")
     if not 1 <= dim_x < full.shape[0]:
         raise InvalidBlockError(f"dim-x must lie in [1, {full.shape[0] - 1}], got {dim_x}")
-    _require_symmetric("the covariance matrix", full)
+    _equilibrate(full, "the covariance matrix")  # the mirror check
     m = dim_x
     return GaussianJoint(v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:])
 

@@ -5,11 +5,6 @@ P(x, y) with strictly positive marginals; the Gaussian side works on a
 partitioned covariance matrix.  Everything downstream (spectra, transforms,
 completeness) consumes these containers, so validation is front-loaded here:
 a constructed object is always safe to compute with.
-
-Tolerances: input tables and probability vectors (CSV entry points in
-:mod:`depscale.io`, and the vectors handed to constructions) are accepted up
-to 1e-9 deviation from mass 1 and then renormalized exactly, which is also
-the contract of :func:`make_joint`.
 """
 
 from __future__ import annotations
@@ -30,11 +25,18 @@ from .errors import (
     ZeroMarginalError,
 )
 
-#: Allowed deviation of an *input* table's total mass from 1 before rejection.
-INPUT_MASS_TOL = 1e-9
-
-#: Default threshold below which a singular value is treated as zero.
-DEFAULT_ORDER_TOL = 1e-10
+# Every tolerance, stated against the scale of what it tests: mass 1, sigma0 =
+# 1 (which bounds every correlation), or an _equilibrate'd diagonal in [1/4, 1).
+INPUT_MASS_TOL = 1e-9  #: mass: an input table's or vector's distance from 1
+CONSTRUCTION_MASS_TOL = 1e-12  #: mass: a finite-rank component's sum's distance from 0
+DEFAULT_ORDER_TOL = 1e-10  #: sigma0: default ``tol``; a singular value or rho <= tol is 0
+SPECTRUM_SLACK = 1e-10  #: sigma0: slack on sigma0 = 1, on [0, 1] and on the order
+ORACLE_TOL = 1e-12  #: sigma0: oracle stop on ||grad log det||**2, relative to the max
+CURVE_SLACK = 1e-12  #: sigma0: slack on a noise curve's rise to lambda = 0 and fall
+STANDARDIZED_TOL = 1e-8  #: variance 1: a table this close to it is standardized
+VANISHING_SHARE = 1e-9  #: largest entry: a smaller share of it vanishes in the sign rule
+COV_SLACK = 1e-10  #: equilibrated diagonal: slack on symmetry and on PSD
+COV_FLOOR = 1e-12  #: equilibrated diagonal: a diagonal block's eigenvalues exceed it
 
 
 def check_tol(tol: float) -> None:
@@ -60,11 +62,23 @@ def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(m, e - 2 * s), s
 
 
-def _require_symmetric(name: str, a: np.ndarray) -> None:
-    """Reject a matrix that differs from its transpose by more than 1e-10
-    anywhere (a nan matches only a nan)."""
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0, equal_nan=True):
+def _equilibrate(v: np.ndarray, name: str) -> np.ndarray:
+    """Covariance ``v`` with row and column i divided exactly by 2**s_i, where
+    v_ii = c * 4**s_i, c in [1/4, 1) (van der Sluis 1969), then symmetrized.  An
+    entry past 1 fails a 2 x 2 minor: it is rejected before a difference can overflow."""
+    if not np.all(np.isfinite(v)):
+        raise NotPositiveDefiniteError(f"{name} contains non-finite entries")
+    d = np.diag(v)
+    if np.any(d <= 0):
+        raise NotPositiveDefiniteError(f"{name} has a variance at or below 0")
+    _, s = _quarter_split(d)
+    with np.errstate(over="ignore"):
+        e = np.ldexp(v, -np.add.outer(s, s))
+    if not np.all(np.abs(e) <= 1.0 + COV_SLACK):
+        raise NotPositiveDefiniteError(f"{name} has an entry beyond its variances: not PSD")
+    if not np.all(np.abs(e - e.T) <= COV_SLACK):
         raise NotPositiveDefiniteError(f"{name} is not symmetric")
+    return (e + e.T) / 2.0  # eigh reads one triangle
 
 
 def _frozen_array(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -210,15 +224,16 @@ def coarsen_y(j: DiscreteJoint, partition: Sequence[Sequence[int]]) -> DiscreteJ
 class GaussianJoint:
     """A jointly Gaussian pair (X, Y) described by its covariance blocks.
 
-    Only second moments matter for anything computed here, so means are not
-    stored.  ``v11`` (m x m) and ``v22`` (n x n) must be symmetric positive
-    definite; the assembled (m+n) x (m+n) block matrix must be symmetric
-    positive semidefinite.
+    Only second moments matter here, so means are not stored.  ``v11`` (m x m)
+    and ``v22`` (n x n) must be symmetric positive definite and the assembled
+    block matrix symmetric positive semidefinite, as read on ``scaled``, that
+    matrix after :func:`_equilibrate`, which block ``lambda_max`` reads too.
     """
 
     v11: np.ndarray
     v12: np.ndarray
     v22: np.ndarray
+    scaled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v11 = np.atleast_2d(np.asarray(self.v11, dtype=float))
@@ -231,21 +246,14 @@ class GaussianJoint:
             raise InvalidBlockError(
                 f"inconsistent block shapes {v11.shape}, {v12.shape}, {v22.shape}"
             )
-        if not all(np.all(np.isfinite(b)) for b in (v11, v12, v22)):
-            raise NotPositiveDefiniteError("covariance blocks contain non-finite entries")
-        for name, block in (("v11", v11), ("v22", v22)):
-            _require_symmetric(name, block)
-            # The eigenvalues lambda_max takes square roots of: eigh of the
-            # same halves, which do not overflow near the float maximum.
-            if np.linalg.eigh(block / 2.0 + block.T / 2.0)[0][0] <= 1e-12:
-                raise NotPositiveDefiniteError(
-                    f"{name} has an eigenvalue at or below the 1e-12 floor"
-                )
-        full = np.block([[v11, v12], [v12.T, v22]])
-        if np.min(np.linalg.eigvalsh(full / 2.0 + full.T / 2.0)) < -1e-10:
-            raise NotPositiveDefiniteError(
-                "assembled block covariance is not positive semidefinite"
-            )
+        e = _equilibrate(np.block([[v11, v12], [v12.T, v22]]), "the covariance blocks")
+        for name, block in (("v11", e[:m, :m]), ("v22", e[m:, m:])):
+            # The eigenvalues lambda_max takes square roots of.
+            if np.linalg.eigh(block)[0][0] <= COV_FLOOR:
+                raise NotPositiveDefiniteError(f"{name} is singular to within {COV_FLOOR}")
+        if np.linalg.eigvalsh(e)[0] < -COV_SLACK:
+            raise NotPositiveDefiniteError("the covariance is not positive semidefinite")
+        object.__setattr__(self, "scaled", _frozen_array(e))
         object.__setattr__(self, "v11", _frozen_array(v11))
         object.__setattr__(self, "v12", _frozen_array(v12))
         object.__setattr__(self, "v22", _frozen_array(v22))
@@ -269,7 +277,7 @@ class FunctionTable:
 
     ``side`` records which alphabet the table lives on.  The ``standardized``
     flag is set by factories that have centered and scaled the values against
-    the corresponding marginal (mean 0, variance 1 within 1e-10).
+    the corresponding marginal (mean 0, variance 1 within STANDARDIZED_TOL).
     """
 
     values: np.ndarray

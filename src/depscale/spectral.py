@@ -39,11 +39,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import (DEFAULT_ORDER_TOL, DiscreteJoint, _debug_logger, _frozen_array,
-                     _quarter_split, check_tol, conditional_matrix)
-
-#: Slack allowed on structurally exact spectrum facts (sigma0 = 1, ordering).
-SPECTRUM_SLACK = 1e-10
+from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, SPECTRUM_SLACK, DiscreteJoint,
+                     _debug_logger, _frozen_array, _quarter_split, check_tol,
+                     conditional_matrix)
 
 #: A normalized table of at least this many cells has the SVDs of Q and Qc
 #: run side by side, Q's on a second thread, with numpy's OpenBLAS held to
@@ -326,7 +324,7 @@ def gram_det_oracle(
     restarts: int = 32,
     seed: int = 0,
     *,
-    tol: float = 1e-12,
+    tol: float = ORACLE_TOL,
     max_iter: int = 10_000,
 ) -> float:
     """Maximize det Cov(E{phi_0|Y}, ..., E{phi_m|Y}) by Riemannian ascent.

@@ -27,11 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidDistributionError
-from .joints import DiscreteJoint, FunctionTable, _probability_vector, make_joint
+from .joints import CONSTRUCTION_MASS_TOL, DiscreteJoint, FunctionTable, _probability_vector
 from .spectral import DEFAULT_ORDER_TOL, _deflated_normalized, singular_spectrum
-
-#: How far a component's sum may sit from 0 and still count as centered.
-CONSTRUCTION_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,4 +116,4 @@ def make_finite_rank_joint(
         raise InvalidDistributionError(
             f"conditional p(x|y) is {float(cond[x, y])!r} at cell ({x}, {y})"
         )
-    return make_joint(cond * p_y[None, :])
+    return DiscreteJoint(cond * p_y[None, :])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import hadamard_joint, random_finite_rank, random_joint
@@ -246,3 +248,48 @@ class TestSubspace:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             ace_subspace(make_joint(FIXTURE), 0)
+
+    def test_padded_tables_are_standardized(self):
+        j = make_joint([[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]])
+        for pair in ace_subspace(j, 3)[1:]:
+            assert pair.degenerate
+            for table, marginal in ((pair.phi, j.p_x), (pair.psi, j.p_y)):
+                assert table.standardized
+                assert_allclose(table.values @ marginal, 0.0, atol=1e-15)
+                assert_allclose(table.values**2 @ marginal, 1.0, rtol=1e-15)
+
+
+@st.composite
+def _near_the_cut(draw):
+    """A tolerance and a leading spectrum: 0.5, then two values each placed
+    2x to 100x above the tolerance, or at most half of it (zero included)."""
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8]))
+    near = st.one_of(st.floats(2.0, 100.0), st.floats(0.0, 0.5))
+    factors = sorted((draw(near), draw(near)), reverse=True)
+    return tol, [0.5, *(tol * f for f in factors)]
+
+
+class TestZeroRule:
+    """``order`` and ACE call the same singular values zero: those at most
+    ``tol``.
+
+    The values sit at least a factor 2 from the cut: ACE stops once each
+    pair above the cut has residual at most ``tol * rho``, which bounds the
+    error of rho by about ``tol`` only, so a value closer to the cut may be
+    read on its other side (1.1e-8 as 1.09e-8 and 0.99e-8 as 1.002e-8 at
+    ``tol`` 1e-8, for one).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_near_the_cut(), n=st.sampled_from([4, 8]), seed=st.integers(0, 2**16))
+    @example(case=(1e-12, [0.5, 1e-11, 1e-13]), n=4, seed=0)
+    @example(case=(1e-10, [0.5, 1e-11, 1e-13]), n=4, seed=0)
+    @example(case=(1e-8, [0.5, 1e-11, 1e-13]), n=4, seed=0)
+    def test_order_is_the_count_of_nondegenerate_pairs(self, case, n, seed):
+        tol, top = case
+        j = hadamard_joint(np.random.default_rng(seed), n, np.array(top))
+        order = singular_spectrum(j).order(tol)
+        # The tail of the construction lies from 4e-4 down to 1e-6.
+        assert order == n - 4 + sum(v > tol for v in top)
+        pairs = ace_subspace(j, n - 1, tol=tol)
+        assert sum(not p.degenerate for p in pairs) == order

@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_finite_rank, random_independent, random_joint
+from conftest import hadamard_joint, random_finite_rank, random_independent, random_joint
 from depscale import dependence_scale, make_joint, singular_spectrum
 from depscale import cli, spectral
 from depscale.cli import main
@@ -301,6 +301,9 @@ class TestGaussianProperties:
     # Entries near the float maximum, and an infinite variance.
     @example(cov=("1e308,0,0\n0,1,0\n0,0,1\n", 3), dim_x=1, lambdas=None, var_z="1")
     @example(cov=("1,0,0\n0,inf,0\n0,0,1\n", 3), dim_x=1, lambdas=None, var_z="1")
+    # An off-diagonal far above its variances, which overflows when scaled.
+    @example(cov=("1.0,1.0,1e308\n1.0,1.0,0.125\n0.125,0.125,0.015625\n", 3), dim_x=1,
+             lambdas=None, var_z="1")
     def test_report_or_one_structured_error(self, tmp_path_factory, cov, dim_x,
                                             lambdas, var_z):
         text, n = cov
@@ -315,6 +318,66 @@ class TestGaussianProperties:
         assert 0 <= report["R"] <= 1 and 0 <= report["D"] == report["lambda_max"] <= 1
         if lambdas:
             assert all(0 <= r <= 1 for r in report["noise_curve"]["R"])
+
+
+def _gaussian_outcome(path, dim_x):
+    """Exit code, stdout and stderr of ``gaussian`` on ``path``, with no
+    warning escaped."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["gaussian", str(path), "--dim-x", str(dim_x)])
+    assert caught == []
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cov_text(cov):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in cov)
+
+
+@st.composite
+def _power_of_two_scalings(draw):
+    """A covariance of 2 to 4 variables (the Gram matrix of rows scaled by
+    10**e, e in -3..3, sometimes with one cell overwritten so that it breaks
+    symmetry or definiteness), a split point, and exponents k in -500..500 by
+    which to scale each variable by 2**k."""
+    n = draw(st.integers(2, 4))
+    unit = st.floats(-1, 1, allow_subnormal=False)
+    rows = np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+    rows *= 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))[:, None]
+    cov = rows @ rows.T
+    if draw(st.booleans()):
+        cov[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.floats(-2, 2))
+    k = draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n))
+    return cov, draw(st.integers(1, n - 1)), k
+
+
+class TestGaussianScaleFree:
+    """Maximal correlation does not see the units of a variable: scaling each
+    by its own 2**k, which every float holds exactly, leaves the report and
+    every verdict byte-identical, scalar and block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_power_of_two_scalings())
+    # Rejected on the old absolute eigenvalue floor of 1e-12.
+    @example(case=(np.array([[1e-200, 5e-201], [5e-201, 1e-200]]), 1, [400, -100]))
+    # Mirror entries 2.4e-15 apart relative: "not symmetric" on the old
+    # absolute 1e-10 test.
+    @example(case=(np.array([[4e12, 1e12, 5e11], [1000000000000.0024, 3e12, 2e11],
+                             [5e11, 2e11, 2e12]]), 1, [-300, 2, 500]))
+    def test_report_is_byte_identical(self, tmp_path_factory, case):
+        cov, dim_x, k = case
+        shift = np.add.outer(k, k)
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = np.ldexp(cov, shift)
+            assume(np.array_equal(np.ldexp(scaled, -shift), cov))
+        folder = tmp_path_factory.mktemp("scaled")
+        (folder / "a.csv").write_text(_cov_text(cov))
+        (folder / "b.csv").write_text(_cov_text(scaled))
+        assert _gaussian_outcome(folder / "a.csv", dim_x) == \
+            _gaussian_outcome(folder / "b.csv", dim_x)
 
 
 @st.composite
@@ -656,8 +719,44 @@ class TestGaussian:
         assert code == 2
         assert json.loads(err)["error"] == "InvalidBlock"
 
+    def test_a_tiny_scale_is_not_a_singular_block(self, capsys, tmp_path):
+        # Equilibrated, this is the correlation matrix of rho = 0.5.
+        path = write(tmp_path, "c.csv", "1e-200,5e-201\n5e-201,1e-200\n")
+        code, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "1")
+        assert code == 0
+        assert json.loads(out) == {"schema": "v1", "R": 0.5, "D": 0.25, "lambda_max": 0.25}
+
+    def test_mirror_entries_are_compared_at_their_scale(self, capsys, tmp_path):
+        # The two copies of v12[0, 0] differ by 2.4e-15 of their size.
+        path = write(tmp_path, "c.csv", "4000000000000.0,1000000000000.0,500000000000.0\n"
+                     "1000000000000.0024,3000000000000.0,200000000000.0\n"
+                     "500000000000.0,200000000000.0,2000000000000.0\n")
+        code, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "1")
+        assert code == 0
+        cov = np.array([[4e12, 1e12, 5e11], [1e12, 3e12, 2e11], [5e11, 2e11, 2e12]])
+        c = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        want = c[0, 1:] @ np.linalg.solve(c[1:, 1:], c[1:, 0])
+        assert json.loads(out)["lambda_max"] == pytest.approx(want, rel=1e-14)
+
+    def test_an_entry_far_beyond_its_variances_is_one_error(self, capsys, tmp_path):
+        path = write(tmp_path, "c.csv", "1.0,1.0,1e308\n1.0,1.0,0.125\n0.125,0.125,0.015625\n")
+        code, out, err = run_cli(capsys, "gaussian", path, "--dim-x", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "NotPositiveDefinite"
+
 
 class TestTransforms:
+    def test_one_zero_rule_with_compute(self, capsys, tmp_path):
+        # sigma = (0.5, 1e-11, 1e-13): at the default tol 1e-10 both small
+        # values are zero to compute and to transforms alike.
+        j = hadamard_joint(np.random.default_rng(0), 4, np.array([0.5, 1e-11, 1e-13]))
+        path = write_table(tmp_path, "j.csv", j.probs)
+        _, out, _ = run_cli(capsys, "compute", path)
+        assert json.loads(out)["order"] == 1
+        code, out, _ = run_cli(capsys, "transforms", path, "-k", "3")
+        assert code == 0
+        assert [p["degenerate"] for p in json.loads(out)["pairs"]] == [False, True, True]
+
     def test_leading_pair_of_the_fixture(self, capsys, tmp_path):
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
         code, out, _ = run_cli(capsys, "transforms", path)

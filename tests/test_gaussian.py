@@ -90,6 +90,34 @@ def test_r_stays_in_unit_interval():
         assert 0.0 <= gaussian_r(g) <= 1.0
 
 
+def _reference_lambda_max(full, m, mp):
+    """lambda_max in 50-digit arithmetic: the squared top singular value of
+    L11^-1 v12 L22^-T, with L the Cholesky factors of the diagonal blocks."""
+    mp.mp.dps = 50
+    a = mp.matrix(full.tolist())
+    l11, l22 = mp.cholesky(a[:m, :m]), mp.cholesky(a[m:, m:])
+    w = mp.inverse(l11) * a[:m, m:] * mp.inverse(l22).T
+    return max(mp.svd_r(w, compute_uv=False)) ** 2
+
+
+def test_block_lambda_max_is_accurate_at_any_scale():
+    # Variances spread over e^-20..e^20.  Worked on the raw blocks against
+    # an absolute floor, lambda_max was off by up to 0.64 relative on these
+    # and 99 of them were rejected; equilibrated, the worst is 9e-15.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        m = int(rng.integers(1, n))
+        a = rng.standard_normal((n, n + 2))
+        d = np.exp(rng.uniform(-20, 20, n))
+        full = (a @ a.T) * np.outer(d, d)
+        full = (full + full.T) / 2
+        g = GaussianJoint(v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:])
+        want = _reference_lambda_max(full, m, mp)
+        assert abs(mp.mpf(lambda_max(g)) - want) <= 1e-13 * want
+
+
 class TestNoiseCurve:
     def test_zero_noise_recovers_r(self):
         g = scalar(0.5)

@@ -20,6 +20,8 @@ from depscale import (
     augment_with_independent,
     coarsen_y,
     conditional_matrix,
+    gaussian_r,
+    lambda_max,
     make_joint,
 )
 from depscale.joints import _sample_columns
@@ -220,10 +222,17 @@ class TestGaussianJoint:
         with pytest.raises(NotPositiveDefiniteError):
             GaussianJoint(v11=[[0.0]], v12=[[0.0]], v22=[[1.0]])
 
+    def test_accepts_a_small_variance_beside_a_large_one(self):
+        # Equilibrated, diag(1, 1e-13) is well conditioned: a variance is a
+        # unit, not a near-singular direction, and X is independent of Y.
+        g = GaussianJoint(v11=np.diag([1.0, 1e-13]), v12=np.zeros((2, 1)), v22=[[1.0]])
+        assert (gaussian_r(g), lambda_max(g)) == (0.0, 0.0)
+
     def test_rejects_near_singular_block(self):
         # lambda_max relies on this floor: it inverts the blocks unchecked.
-        v11 = np.diag([1.0, 1e-13])
-        with pytest.raises(NotPositiveDefiniteError, match="1e-12 floor"):
+        # The two variables are equal up to 1e-14 of their scale.
+        v11 = 1e-30 * np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError, match="v11 is singular"):
             GaussianJoint(v11=v11, v12=np.zeros((2, 1)), v22=[[1.0]])
 
     @pytest.mark.parametrize("block", ["v11", "v12", "v22"])
@@ -238,12 +247,14 @@ class TestGaussianJoint:
         g = GaussianJoint(v11=np.diag([1e308, 1.0]), v12=np.zeros((2, 1)), v22=[[1.0]])
         assert g.v11[0, 0] == 1e308
 
-    def test_rejects_a_block_whose_eigenvalues_round_below_the_floor(self):
-        # The Gram matrix of rows scaled up to 1.7e8: its smallest eigenvalue
-        # is within rounding (about eps * 3e16) of 0, and is computed negative.
+    def test_accepts_a_block_whose_raw_eigenvalues_round_below_zero(self):
+        # The raw block's smallest eigenvalue is within rounding (about
+        # eps * 3e16) of 0 and is computed negative, but its correlation
+        # matrix has eigenvalues 1 and 1 +- sqrt(2/3).  Y is the first
+        # variable of X, so R is 1.
         v11 = [[1.0, 1e8, 0.0], [1e8, 3e16, 1e8], [0.0, 1e8, 1.0]]
-        with pytest.raises(NotPositiveDefiniteError, match="1e-12 floor"):
-            GaussianJoint(v11=v11, v12=[[1.0], [1e8], [0.0]], v22=[[1.0]])
+        g = GaussianJoint(v11=v11, v12=[[1.0], [1e8], [0.0]], v22=[[1.0]])
+        assert (gaussian_r(g), lambda_max(g)) == (1.0, 1.0)
 
     def test_rejects_cross_block_breaking_psd(self):
         # |v12| > sqrt(v11 v22) cannot come from any distribution
