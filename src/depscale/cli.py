@@ -174,9 +174,9 @@ def _profile_report(
     return {
         "schema": SCHEMA,
         "sigma0": spectrum.sigma0,
-        "sigma": [float(s) for s in spectrum.sigma],
+        "sigma": spectrum.sigma.tolist(),
         "R": profile.r,
-        "D": [float(v) for v in profile.d],
+        "D": profile.d.tolist(),
         "order": profile.order,
         "complete": spectrum.complete(tol),
     }
@@ -212,8 +212,8 @@ def _cmd_gaussian(args: argparse.Namespace) -> dict[str, Any]:
         curve = noise_curve(g, np.asarray(sorted(args.lambdas), dtype=float),
                             var_z=args.var_z)
         report["noise_curve"] = {
-            "lambda": [float(v) for v in curve.lambdas],
-            "R": [float(v) for v in curve.r_values],
+            "lambda": curve.lambdas.tolist(),
+            "R": curve.r_values.tolist(),
         }
     return report
 
@@ -233,8 +233,8 @@ def _cmd_transforms(args: argparse.Namespace) -> dict[str, Any]:
         "pairs": [
             {
                 "rho": p.rho,
-                "phi": [float(v) for v in p.phi.values],
-                "psi": [float(v) for v in p.psi.values],
+                "phi": p.phi.values.tolist(),
+                "psi": p.psi.values.tolist(),
                 "converged": p.converged,
                 "degenerate": p.degenerate,
                 "sweeps": p.n_iter,

@@ -12,10 +12,11 @@ R = sqrt(lambda_max), D = R^2 = lambda_max.  Scalar blocks short-circuit to
 variance is split as a * 4**s first, so the product cannot overflow.
 
 Blocks are read from the equilibrated matrix, as scaling X or Y leaves R
-alone, and R is the top singular value of v11^{-1/2} v12 v22^{-1/2}.  No floor
-is needed: :class:`~depscale.joints.GaussianJoint` rejects a block with an
-equilibrated eigenvalue at or below ``COV_FLOOR`` rather than pseudo-inverting
-it, as a silently regularized answer would not be the quantity named above.
+alone.  Block R is the top singular value of v11^{-1/2} v12 v22^{-1/2}, the
+``whitened`` block :class:`~depscale.joints.GaussianJoint` computes once and
+:func:`lambda_max` reads.  No floor is needed: the joint rejects a block with
+an equilibrated eigenvalue at or below ``COV_FLOOR`` rather than pseudo-
+inverting it, as a silently regularized answer would not be that quantity.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ def lambda_max(g: GaussianJoint) -> float:
     """Largest eigenvalue of v11^{-1/2} v12 v22^{-1} v21 v11^{-1/2}, in [0, 1]."""
     if g.is_scalar:
         return gaussian_r(g) ** 2
-    e, m = g.scaled, g.dim_x
-    wx, vx = np.linalg.eigh(e[:m, :m])
-    wy, vy = np.linalg.eigh(e[m:, m:])
-    c = (vx / np.sqrt(wx)).T @ e[:m, m:] @ (vy / np.sqrt(wy))
-    return float(min(np.linalg.norm(c, 2) ** 2, 1.0))
+    return float(min(np.linalg.norm(g.whitened, 2) ** 2, 1.0))
 
 
 def gaussian_r(g: GaussianJoint) -> float:

@@ -226,14 +226,15 @@ class GaussianJoint:
 
     Only second moments matter here, so means are not stored.  ``v11`` (m x m)
     and ``v22`` (n x n) must be symmetric positive definite and the assembled
-    block matrix symmetric positive semidefinite, as read on ``scaled``, that
-    matrix after :func:`_equilibrate`, which block ``lambda_max`` reads too.
+    block matrix symmetric positive semidefinite, after :func:`_equilibrate`.
+    ``whitened`` is its cross block whitened by its diagonal blocks' ``eigh``,
+    (v_x / sqrt(w_x))^T e12 (v_y / sqrt(w_y)); block ``lambda_max`` reads it.
     """
 
     v11: np.ndarray
     v12: np.ndarray
     v22: np.ndarray
-    scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    whitened: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v11 = np.atleast_2d(np.asarray(self.v11, dtype=float))
@@ -247,13 +248,15 @@ class GaussianJoint:
                 f"inconsistent block shapes {v11.shape}, {v12.shape}, {v22.shape}"
             )
         e = _equilibrate(np.block([[v11, v12], [v12.T, v22]]), "the covariance blocks")
+        roots = []
         for name, block in (("v11", e[:m, :m]), ("v22", e[m:, m:])):
-            # The eigenvalues lambda_max takes square roots of.
-            if np.linalg.eigh(block)[0][0] <= COV_FLOOR:
+            w, v = np.linalg.eigh(block)
+            if w[0] <= COV_FLOOR:  # the eigenvalues whitening takes square roots of
                 raise NotPositiveDefiniteError(f"{name} is singular to within {COV_FLOOR}")
+            roots.append(v / np.sqrt(w))
         if np.linalg.eigvalsh(e)[0] < -COV_SLACK:
             raise NotPositiveDefiniteError("the covariance is not positive semidefinite")
-        object.__setattr__(self, "scaled", _frozen_array(e))
+        object.__setattr__(self, "whitened", _frozen_array(roots[0].T @ e[:m, m:] @ roots[1]))
         object.__setattr__(self, "v11", _frozen_array(v11))
         object.__setattr__(self, "v12", _frozen_array(v12))
         object.__setattr__(self, "v22", _frozen_array(v22))

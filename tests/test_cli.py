@@ -672,6 +672,25 @@ class TestGaussian:
         assert out.splitlines() == [
             "field,index,value", "schema,,v1", "R,,0.5", "D,,0.25", "lambda_max,,0.25"]
 
+    def test_block_report_whitens_each_block_once(self, capsys, tmp_path, monkeypatch):
+        """The README's 3x3 block: R, D and lambda_max come from the joint's
+        one eigendecomposition of each diagonal block."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        path = write(tmp_path, "block.csv", "1,0.5,0.3\n0.5,1,0.4\n0.3,0.4,1\n")
+        code, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "2")
+        assert code == 0
+        assert json.loads(out) == {"schema": "v1", "R": 0.4163331998932266,
+                                   "D": 0.17333333333333337,
+                                   "lambda_max": 0.17333333333333337}
+        assert calls == [(2, 2), (1, 1)]
+
     def test_block_diagonal_is_independent(self, capsys, tmp_path):
         path = write(tmp_path, "c.csv", "1,0\n0,1\n")
         _, out, _ = run_cli(capsys, "gaussian", path, "--dim-x", "1")

@@ -18,6 +18,7 @@ from depscale import (
     lambda_max,
     noise_curve,
 )
+from depscale.joints import _equilibrate
 
 
 def scalar(rho, v11=1.0, v22=1.0):
@@ -116,6 +117,28 @@ def test_block_lambda_max_is_accurate_at_any_scale():
         g = GaussianJoint(v11=full[:m, :m], v12=full[:m, m:], v22=full[m:, m:])
         want = _reference_lambda_max(full, m, mp)
         assert abs(mp.mpf(lambda_max(g)) - want) <= 1e-13 * want
+
+
+def test_block_lambda_max_reads_the_whitened_block_bit_for_bit():
+    # The reference whitens the equilibrated blocks here, step by step; the
+    # block the joint stores must give the very same bits.
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        m = int(rng.integers(1, n))
+        a = rng.standard_normal((n, n + 2))
+        d = np.exp(rng.uniform(-20, 20, n))
+        full = (a @ a.T) * np.outer(d, d)
+        full = (full + full.T) / 2
+        v11, v12, v22 = full[:m, :m], full[:m, m:], full[m:, m:]
+        g = GaussianJoint(v11=v11, v12=v12, v22=v22)
+        e = _equilibrate(np.block([[v11, v12], [v12.T, v22]]), "the covariance blocks")
+        wx, vx = np.linalg.eigh(e[:m, :m])
+        wy, vy = np.linalg.eigh(e[m:, m:])
+        c = (vx / np.sqrt(wx)).T @ e[:m, m:] @ (vy / np.sqrt(wy))
+        want = min(np.linalg.norm(c, 2) ** 2, 1.0)
+        assert lambda_max(g) == want
+        assert gaussian_r(g) == np.sqrt(want)
 
 
 class TestNoiseCurve:
