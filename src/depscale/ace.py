@@ -174,9 +174,8 @@ def ace_subspace(
                 trace=tuple(trace),
             )
         )
-    for _ in range(k - k_eff):
-        out.append(_degenerate_pair(j, None, sweeps, trace))
-    return out
+    # One frozen pair, repeated: a huge k costs a list, not k constructions.
+    return out + [_degenerate_pair(j, None, sweeps, trace)] * (k - k_eff)
 
 
 def _degenerate_pair(

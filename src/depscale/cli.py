@@ -78,8 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
     except (ValueError, MemoryError) as exc:
-        # MemoryError: an argument too large to allocate for (--restarts, --max-order).
-        _emit_error("InvalidArgument", str(exc))
+        # MemoryError: an argument too large to allocate for (-k, --restarts, --max-order).
+        _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:
         _emit_error("Format", str(exc))

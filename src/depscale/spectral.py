@@ -43,12 +43,12 @@ from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, SPECTRUM_SLACK, DiscreteJoin
                      _debug_logger, _frozen_array, _quarter_split, check_tol,
                      conditional_matrix)
 
-#: A normalized table of at least this many cells has the SVDs of Q and Qc
-#: run side by side, Q's on a second thread, with numpy's OpenBLAS held to
-#: one thread for the pair.  On a 2-vCPU x86 VM the pair broke even at about
-#: 128 x 128 cells, took 0.7-1.0x of the serial time up to 480 x 480 and
-#: 0.5-0.7x from 512 x 512 on; 256 x 256 keeps a margin (CHANGES.md has the
-#: measurements).
+#: From this many cells on, the SVDs of Q and Qc run side by side, Q's on a
+#: second thread; either way OpenBLAS is held to one thread.  Against the
+#: pair one after the other, on a 2-vCPU x86 VM side by side took 0.8-1.2x
+#: of the time up to 448 x 448, 0.55-1.04x from 512 to 768 squared and
+#: 0.52-0.56x at 1024 x 1024 (CHANGES.md has the measurements); it stays at
+#: 256 x 256 because below 512 x 512 neither way wins.
 _SIDE_BY_SIDE_CELLS = 65_536
 
 #: Held while OpenBLAS is pinned, so two spectra built at once on different
@@ -180,19 +180,12 @@ def _svd_values(a: np.ndarray) -> np.ndarray:
 def singular_spectrum(j: DiscreteJoint) -> SingularSpectrum:
     """Full spectrum of the normalized table, deflated of the constant pair.
 
-    On a table of at least ``_SIDE_BY_SIDE_CELLS`` cells the two SVDs run
-    side by side with one OpenBLAS thread each, so such a spectrum is the
-    one OpenBLAS gives on one thread, whatever the host's CPU count.
+    Its two SVDs run with OpenBLAS held to one thread (:func:`_svd_pair`),
+    so it is the spectrum OpenBLAS gives on one thread on any host.
     """
     Q, Qc = _deflated_normalized(j)
+    values_q, values_qc = _svd_pair(Q, Qc)
     k = min(j.n_x, j.n_y) - 1
-    blas = _openblas() if k > 0 and Q.size >= _SIDE_BY_SIDE_CELLS else None
-    if blas is None:
-        values_q = _svd_values(Q)
-        values_qc = _svd_values(Qc) if k > 0 else np.empty(0)
-    else:
-        values_q, values_qc = _side_by_side(Q, Qc, blas)
-    _log_spectrum(Q.shape, blas is not None)
     return SingularSpectrum(
         sigma0=float(values_q[0]), sigma=values_qc[:k], shape=(j.n_x, j.n_y)
     )
@@ -217,15 +210,26 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
-def _side_by_side(
-    Q: np.ndarray, Qc: np.ndarray, blas: tuple[Callable[[], int], Callable[[int], None]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of ``Q`` (on a second thread) and ``Qc`` (on this
-    one) at once, with OpenBLAS held to one thread for the pair.
+def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of ``Q`` and ``Qc``, with numpy's OpenBLAS held to
+    one thread for the pair and then set back.
 
-    numpy's LAPACK calls release the GIL, so the two run on two CPUs.  A
-    worker's error is raised here; with no thread to be had, both run here.
+    From ``_SIDE_BY_SIDE_CELLS`` cells on, Q's SVD runs on a second thread
+    while Qc's runs on this one: numpy's LAPACK calls release the GIL, so
+    the two run on two CPUs, and a worker's error is raised here.  Below
+    that size, or with no thread to be had, both run here.  When numpy
+    carries no OpenBLAS of its own, both run here at its own thread count.
+    One DEBUG record names the path taken and the BLAS thread count.
     """
+    blas = _openblas()
+    side_by_side = blas is not None and Q.size >= _SIDE_BY_SIDE_CELLS
+    log = _debug_logger()
+    if log is not None:
+        how = "side by side" if side_by_side else "one after the other"
+        log.debug("spectrum of %d x %d cells: SVDs %s, BLAS threads %s",
+                  *Q.shape, how, 1 if blas else "unknown")
+    if blas is None:
+        return _svd_values(Q), _svd_values(Qc)
     get_threads, set_threads = blas
     done: list[Any] = []
 
@@ -235,35 +239,27 @@ def _side_by_side(
         except Exception as exc:  # raised again in the caller
             done.append(exc)
 
-    worker = threading.Thread(target=svd_q, name="depscale-svd")
+    worker = None
     with _PIN_LOCK:
         threads = get_threads()
         set_threads(1)
         try:
-            try:
-                worker.start()
-            except RuntimeError:  # no thread to be had
+            if side_by_side:
+                worker = threading.Thread(target=svd_q, name="depscale-svd")
+                try:
+                    worker.start()
+                except RuntimeError:  # no thread to be had
+                    worker = None
+            if worker is None:
                 svd_q()
             values_qc = _svd_values(Qc)
         finally:
-            if worker.ident is not None:
+            if worker is not None:
                 worker.join()
             set_threads(threads)
     if isinstance(done[0], Exception):
         raise done[0]
     return done[0], values_qc
-
-
-def _log_spectrum(shape: tuple[int, int], side_by_side: bool) -> None:
-    log = _debug_logger()
-    if log is None:
-        return
-    if side_by_side:
-        how, threads = "side by side", 1
-    else:
-        blas = _openblas()
-        how, threads = "one after the other", blas[0]() if blas else "unknown"
-    log.debug("spectrum of %d x %d cells: SVDs %s, BLAS threads %s", *shape, how, threads)
 
 
 def maximal_correlation(j: DiscreteJoint) -> float:

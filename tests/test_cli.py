@@ -955,6 +955,27 @@ class TestArguments:
         assert code == 2 and out == ""
         assert json.loads(err) == {"schema": "v1", "error": "InvalidArgument", "message": message}
 
+    def test_a_huge_k_is_an_invalid_argument(self, tmp_path):
+        # Pairs beyond the alphabet are padded, and a list of 1e11 of them
+        # cannot be allocated.  The address-space limit and the timeout keep
+        # a regression that builds the pairs one by one from filling memory.
+        # The limit is set in the child itself: a fork that runs Python code
+        # before exec (preexec_fn) is unsafe in this threaded process.
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        limited_cli = (
+            "import resource, runpy\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "runpy.run_module('depscale.cli', run_name='__main__', alter_sys=True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited_cli, "transforms", path, "-k", "100000000000"],
+            env=child_env(), capture_output=True, text=True, timeout=15,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        error = json.loads(proc.stderr)
+        assert (error["schema"], error["error"]) == ("v1", "InvalidArgument")
+        assert error["message"]
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compute", "--help"])

@@ -363,7 +363,8 @@ def _big_joint():
 
 
 class TestSideBySide:
-    """A large table's two SVDs run at once, with one OpenBLAS thread each."""
+    """Every spectrum's two SVDs run with OpenBLAS held to one thread, and a
+    large table's run at once."""
 
     @pytest.fixture
     def blas(self):
@@ -398,9 +399,13 @@ class TestSideBySide:
         assert s.sigma0 == sigma0
         assert s.sigma.tobytes() == np.clip(sigma, 0.0, 1.0).tobytes()
 
-    @pytest.mark.parametrize("side", ["worker", "caller"])
+    @pytest.mark.parametrize(
+        "side, joint",
+        [("worker", _big_joint), ("caller", _big_joint), ("caller", lambda: make_joint(FIXTURE))],
+        ids=["worker", "caller", "small"],
+    )
     def test_a_failed_svd_is_raised_and_the_thread_count_restored(
-        self, monkeypatch, blas, side
+        self, monkeypatch, blas, side, joint
     ):
         svd_values = spectral._svd_values
 
@@ -411,11 +416,23 @@ class TestSideBySide:
 
         monkeypatch.setattr(spectral, "_svd_values", failing)
         with pytest.raises(SvdFailureError, match=f"on the {side}"):
-            singular_spectrum(_big_joint())
+            singular_spectrum(joint())
 
-    def test_small_tables_stay_one_after_the_other(self, caplog, blas):
-        _, (how, threads) = _spectrum_path(caplog, make_joint(FIXTURE))
-        assert (how, threads) == ("one after the other", str(blas[0]()))
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (8, 64), (128, 128), (256, 300)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_every_svd_runs_on_one_blas_thread(self, monkeypatch, caplog, blas, shape):
+        svd_values, threads_seen = spectral._svd_values, []
+
+        def recorded(a):
+            threads_seen.append(blas[0]())
+            return svd_values(a)
+
+        monkeypatch.setattr(spectral, "_svd_values", recorded)
+        j = random_joint(np.random.default_rng(4), *shape)
+        _, (how, threads) = _spectrum_path(caplog, j)
+        assert threads_seen == [1, 1]
+        side_by_side = j.probs.size >= spectral._SIDE_BY_SIDE_CELLS
+        assert (how, threads) == ("side by side" if side_by_side else "one after the other", "1")
 
     def test_silent_by_default(self, caplog, blas):
         singular_spectrum(_big_joint())
@@ -441,20 +458,26 @@ class TestSideBySide:
         assert capsys.readouterr().out == want
 
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path, blas):
-        # 768 x 768: large enough that OpenBLAS threads an SVD on two CPUs.
+        # Both sizes are large enough that OpenBLAS threads an SVD on two
+        # CPUs; 230 x 230 runs its SVDs one after the other, 768 x 768 side by side.
+        w = np.random.default_rng(230).dirichlet(np.ones(230 * 230)).reshape(230, 230)
+        mid = tmp_path / "mid.csv"
+        mid.write_text("".join(",".join(map(repr, row)) + "\n" for row in w.tolist()))
         w = np.random.default_rng(5).dirichlet(np.ones(768 * 768)).reshape(768, 768)
-        path = _write_table(tmp_path / "j.csv", w)
+        large = _write_table(tmp_path / "large.csv", w)
         src = str(Path(depscale.__file__).parents[1])
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")}
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        runs = [
-            subprocess.run([sys.executable, "-m", "depscale.cli", "compute", path],
-                           env=dict(env, **extra), capture_output=True, check=True,
-                           timeout=120).stdout
-            for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_THREAD_TIMEOUT": "28"})
-        ]
-        assert runs[0] == runs[1] == runs[2]
+        for path in (str(mid), large):
+            runs = [
+                subprocess.run([sys.executable, "-m", "depscale.cli", "compute", path],
+                               env=dict(env, **extra), capture_output=True, check=True,
+                               timeout=120).stdout
+                for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"},
+                              {"OPENBLAS_THREAD_TIMEOUT": "28"})
+            ]
+            assert runs[0] == runs[1] == runs[2], path
 
 
 # ---------------------------------------------------------------------------
