@@ -9,8 +9,8 @@ single machine-readable JSON object on stderr.  Exit codes: 0 success,
 A start imports ``errors`` and ``io`` (which brings ``joints``); any other
 module is imported on the first call of a library function from it, so each
 subcommand loads just the modules it runs.  Before numpy loads, the CLI's
-own process sets ``OPENBLAS_THREAD_TIMEOUT`` to 22 unless it is already
-set, so OpenBLAS's idle worker sleeps after about 2 ms instead of 0.1 s.
+own process sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, so
+that no report depends on the host's CPU count.
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
-#: An idle OpenBLAS worker spins 2**N cycles before it sleeps: OpenBLAS's
-#: N = 28 burns about 0.1 s of a CPU after each threaded call, 22 about 2 ms.
-_OPENBLAS_THREAD_TIMEOUT = "22"
 if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads it
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -77,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     except DepscaleError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
-    except (ValueError, MemoryError) as exc:
-        # MemoryError: an argument too large to allocate for (-k, --restarts, --max-order).
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # MemoryError, OverflowError: -k, --restarts or --max-order too large to allocate for.
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:
