@@ -63,24 +63,27 @@ def _read_table(
 def _read_cells(
     path: str | Path, data: bytes, is_header: Callable[[list[str]], bool]
 ) -> tuple[list[str] | None, np.ndarray, str]:
-    """The per-cell pass: every non-blank ``csv`` row of ``data`` as stripped
-    cells, the first row split off as names when ``is_header`` says so."""
+    """The per-cell pass: every ``csv`` row of ``data`` with a cell not blank,
+    each cell stripped once; the first row is names when ``is_header`` says so."""
+    cells, widths = [], set()  # the kept rows' cells, end to end, and their widths
     try:
         with TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if _nonblank(row)]
+            for row in ([c.strip() for c in raw] for raw in csv.reader(fh)):
+                if any(row):  # a row of blank cells is skipped, whatever its width
+                    cells += row
+                    widths.add(len(row))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if not rows:
+    if not cells:
         raise FormatError(f"{path} is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(widths) > 1:
         raise FormatError(f"{path} is ragged: rows have differing cell counts")
-    cells = np.array([c.strip() for r in rows for c in r], dtype=object).reshape(-1, width)
-    first = list(cells[0])
-    header = is_header(first)
-    return (first if header else None), cells[int(header):], "per cell"
+    width = widths.pop()
+    header = is_header(cells[:width])
+    grid = np.array(cells, dtype=object).reshape(-1, width)
+    return (cells[:width] if header else None), grid[int(header):], "per cell"
 
 
 def _read_grid(
@@ -102,7 +105,7 @@ def _read_grid(
         if after is None:
             return None
         first = [c.strip() for c in next(csv.reader([data[row[0]:row[1]].decode()]))]
-        if not _nonblank(first):  # all cells blank, as in ",,"
+        if not any(first):  # all cells blank, as in ",,"
             return None
         header = is_header(first)
         body, how = _parse_body(data, after[0] if header else row[0])
@@ -226,10 +229,6 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
     if status or not received:
         raise ValueError("the child's half of the grid was not received")
     return np.concatenate([rows, tail]), "two processes"
-
-
-def _nonblank(row: list[str]) -> bool:
-    return any(c.strip() for c in row)
 
 
 def _is_number(cell: str) -> bool:

@@ -725,6 +725,12 @@ class TestAgainstThePerCellReference:
     @example(data=b"1,2\r2,5\r", dim_x=1)
     @example(data=b"1,2,3\n4,5,a\n6,b,7\n", dim_x=1)  # the row-major first bad cell is named
     @example(data=b'x,y\n"1,5",\xc2\xa02\x1c\n3,\xd9\xa1\xd9\xa2\n', dim_x=1)
+    # Blankness is decided before widths count: a blank row wider than the
+    # data is skipped, not ragged; so is a row of padding only; and a file of
+    # blank rows only is empty.
+    @example(data=b"x,y\n1,a\n,,,\n2,b\n", dim_x=1)
+    @example(data="x,y\n1,a\n\x1c,\xa0\n2,b\n".encode(), dim_x=1)
+    @example(data=b" \n,,\n\t\n", dim_x=1)
     def test_same_bytes_or_error(self, tmp_path_factory, data, dim_x):
         path = tmp_path_factory.mktemp("quirk") / "q.csv"
         path.write_bytes(data)
@@ -750,6 +756,30 @@ class TestAgainstThePerCellReference:
         path = write(tmp_path, "s.csv", "x,y\n" + "a" * (csv.field_size_limit() + 1) + ",1\n")
         with pytest.raises(FormatError, match="field larger than field limit"):
             load_samples_csv(path)
+
+
+class TestPerCellAtScale:
+    """The per-cell path on a labelled file of about 20,000 rows gives the
+    reference's names, dtypes, float bytes and object cells."""
+
+    def test_labelled_file_matches_the_reference(self, tmp_path, caplog):
+        pads = ["", "\x1c", "\xa0", " \x1c", "\xa0\t"]
+        blanks = ["", "  ", "\t", ",,,", " , ,\xa0,"]
+        lines = ["n,label,padded"]
+        values = np.random.default_rng(3).standard_normal(17_500).round(6).tolist()
+        for i, v in enumerate(values):
+            if i % 7 == 3:  # every kind of blank row in turn
+                lines.append(blanks[i % len(blanks)])
+            label = ["low, cold", "mid", "high, hot"][(v > -0.5) + (v >= 0.5)]
+            padded = f"{pads[i % len(pads)]}{i / 4!r}{pads[(i + 2) % len(pads)]}"
+            lines.append(f'{v!r},"{label}",{padded}')
+        path = tmp_path / "labelled.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        got, how = _path_taken(caplog, load_samples_csv, path)
+        assert how == "per cell"
+        f8 = np.dtype(float).str
+        assert [dtype for dtype, _ in got[1]] == [f8, "|O", f8]
+        assert got == _outcome(_reference_samples, path)
 
 
 _LINES = st.lists(
