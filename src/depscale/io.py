@@ -25,7 +25,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import FormatError, InvalidBlockError
-from .joints import DiscreteJoint, GaussianJoint, _debug_logger, _equilibrate, make_joint
+from .joints import (DiscreteJoint, GaussianJoint, _debug_logger, _equilibrate, _place_worker,
+                     make_joint)
 
 #: A numeric body of at least this many bytes is parsed in two halves at
 #: once, one of them in a forked child, when more than one CPU is usable.
@@ -156,28 +157,6 @@ def _loadtxt(data: bytes, start: int) -> np.ndarray:
         return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
 
 
-def _current_cpu() -> int | None:
-    """The CPU this thread last ran on, from Linux's ``/proc``; else None."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # field 39, the 37th after the parenthesised command name
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _leave_cpu(cpu: int | None) -> None:
-    """Keep this process off ``cpu`` when another usable CPU remains."""
-    if cpu is None:
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        try:
-            os.sched_setaffinity(0, others)
-        except OSError:  # a CPU set the host does not allow: stay put
-            pass
-
-
 def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
     """The grid of ``data`` from byte ``start`` to the end, and how it was
     parsed.  A non-blank row begins at ``start`` and another follows the
@@ -188,16 +167,11 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
     float64 bytes down a pipe.  Both halves go through the same parser, so
     the values are those of one pass.  A failed child (an error, a short
     read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
-
-    The child first leaves the CPU this process ran on at the fork.  When
-    the other vCPU of a VM has idled since start-up, Linux at times starts
-    the child beside its parent, and the halves then share one CPU until
-    the load balancer moves one.
+    This process places the child by :func:`~depscale.joints._place_worker`.
     """
     mid = _split_point(data, start)
     if mid is None:
         return _loadtxt(data, start), "one pass"
-    cpu = _current_cpu()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -209,7 +183,6 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
         code = 1
         try:
             os.close(r)  # so that its write fails once the parent closes r
-            _leave_cpu(cpu)
             rows = _loadtxt(data[:mid], start)  # the copy is the child's alone
             with open(w, "wb") as out:
                 out.write(np.array(rows.shape, dtype=np.int64).tobytes())
@@ -217,6 +190,7 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
             code = 0
         finally:
             os._exit(code)
+    _place_worker(pid)
     os.close(w)
     try:
         with open(r, "rb") as src:
@@ -239,21 +213,12 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _joint_header(row: list[str]) -> bool:
+def _matrix_header(row: list[str]) -> bool:
     return any(not _is_number(c) for c in row[1:] or row)
 
 
 def _samples_header(row: list[str]) -> bool:
     return any(not _is_number(c) for c in row)
-
-
-def _floats(cells: np.ndarray, what: str) -> np.ndarray:
-    """``cells`` as floats, each cast by ``float()``; a cell that is not a
-    number is a FormatError that begins with ``what``."""
-    try:
-        return cells.astype(float, copy=False)
-    except ValueError as exc:
-        raise FormatError(f"{what} ({exc})") from exc
 
 
 def load_joint_csv(path: str | Path) -> DiscreteJoint:
@@ -264,14 +229,23 @@ def load_joint_csv(path: str | Path) -> DiscreteJoint:
     remaining cell must parse as a number; validation and renormalization
     happen in :func:`depscale.joints.make_joint`.
     """
-    _, body = _read_table(path, _joint_header)
+    return make_joint(_matrix_body(path, "non-numeric cell in table body"))
+
+
+def _matrix_body(path: str | Path, what: str) -> np.ndarray:
+    """The float body of a joint or covariance file, less an optional header
+    row and label column; a cell ``float()`` rejects is a FormatError naming ``what``."""
+    _, body = _read_table(path, _matrix_header)
     if not len(body):
         raise FormatError(f"{path} has a header but no data rows")
     try:
         body[:, 0].astype(float)
     except ValueError:  # a label column
         body = body[:, 1:]
-    return make_joint(_floats(body, f"{path}: non-numeric cell in table body"))
+    try:
+        return body.astype(float, copy=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {what} ({exc})") from exc
 
 
 def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:
@@ -280,8 +254,7 @@ def load_covariance_csv(path: str | Path, dim_x: int) -> GaussianJoint:
     The matrix must be symmetric, by the test :class:`GaussianJoint` applies
     to its diagonal blocks: the cross block is read above the diagonal.
     """
-    _, body = _read_table(path, lambda row: False)
-    full = _floats(body, f"{path}: covariance CSV must be purely numeric")
+    full = _matrix_body(path, "covariance CSV must be purely numeric")
     if full.shape[0] != full.shape[1]:
         raise FormatError(f"{path}: covariance matrix must be square, got {full.shape}")
     if not 1 <= dim_x < full.shape[0]:

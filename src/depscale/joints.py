@@ -9,6 +9,7 @@ a constructed object is always safe to compute with.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Literal, Sequence
@@ -53,6 +54,32 @@ def _debug_logger() -> Any:
     """
     logging = sys.modules.get("logging")
     return None if logging is None else logging.getLogger("depscale")
+
+
+def _current_cpu() -> int | None:
+    """The CPU this thread last ran on, from Linux's ``/proc``; else None."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, the 37th after the parenthesised command name
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _place_worker(worker: int) -> None:
+    """Give ``worker`` (a forked child's pid, a thread's native id) every
+    usable CPU but this thread's: the one placement rule of both parallel
+    steps, applied by the starter just after it starts its worker.  On a VM
+    whose other vCPU has idled, Linux at times starts a new task beside its
+    starter, and the two then share one CPU for the whole step.  Without
+    ``/proc`` or a second usable CPU, or if the host refuses, nothing happens."""
+    cpu = _current_cpu()
+    others = os.sched_getaffinity(0) - {cpu} if cpu is not None else None
+    if others:
+        try:
+            os.sched_setaffinity(worker, others)
+        except OSError:  # a set the host refuses, or a worker already gone (ESRCH)
+            pass
 
 
 def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

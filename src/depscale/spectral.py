@@ -40,16 +40,14 @@ import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
 from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, SPECTRUM_SLACK, DiscreteJoint,
-                     _debug_logger, _frozen_array, _quarter_split, check_tol,
-                     conditional_matrix)
+                     _debug_logger, _frozen_array, _place_worker, _quarter_split,
+                     check_tol, conditional_matrix)
 
-#: From this many cells on, the SVDs of Q and Qc run side by side, Q's on a
-#: second thread; either way OpenBLAS is held to one thread.  Against the
-#: pair one after the other, on a 2-vCPU x86 VM side by side took 0.8-1.2x
-#: of the time up to 448 x 448, 0.55-1.04x from 512 to 768 squared and
-#: 0.52-0.56x at 1024 x 1024 (CHANGES.md has the measurements); it stays at
-#: 256 x 256 because below 512 x 512 neither way wins.
-_SIDE_BY_SIDE_CELLS = 65_536
+#: From this many cells (512 x 512) on, the SVDs of Q and Qc run side by
+#: side, Q's on a second thread placed off this one's CPU.  numpy releases
+#: the GIL only for an SVD whose shorter side passes 500, so a smaller
+#: square pair gains nothing from a thread (CHANGES.md has the measurements).
+_SIDE_BY_SIDE_CELLS = 262_144
 
 #: Held while OpenBLAS is pinned, so two spectra built at once on different
 #: threads cannot restore each other's thread count out of order.
@@ -214,12 +212,12 @@ def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of ``Q`` and ``Qc``, with numpy's OpenBLAS held to
     one thread for the pair and then set back.
 
-    From ``_SIDE_BY_SIDE_CELLS`` cells on, Q's SVD runs on a second thread
-    while Qc's runs on this one: numpy's LAPACK calls release the GIL, so
-    the two run on two CPUs, and a worker's error is raised here.  Below
-    that size, or with no thread to be had, both run here.  When numpy
-    carries no OpenBLAS of its own, both run here at its own thread count.
-    One DEBUG record names the path taken and the BLAS thread count.
+    From ``_SIDE_BY_SIDE_CELLS`` cells on, Q's SVD runs on a second thread,
+    placed by :func:`~depscale.joints._place_worker`, while Qc's runs on
+    this one, and a worker's error is raised here.  Below that size, or with
+    no thread to be had, both run here.  When numpy carries no OpenBLAS of
+    its own, both run here at its own thread count.  One DEBUG record names
+    the path taken and the BLAS thread count.
     """
     blas = _openblas()
     side_by_side = blas is not None and Q.size >= _SIDE_BY_SIDE_CELLS
@@ -250,6 +248,8 @@ def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     worker.start()
                 except RuntimeError:  # no thread to be had
                     worker = None
+                else:
+                    _place_worker(worker.native_id)
             if worker is None:
                 svd_q()
             values_qc = _svd_values(Qc)

@@ -20,6 +20,7 @@ from depscale import (
     empirical_joint_grouped,
     gaussian_quantile_joint,
     maximal_correlation,
+    singular_spectrum,
 )
 from depscale.estimate import profile_of_joint
 
@@ -227,6 +228,30 @@ class TestGaussianQuantileJoint:
         j = gaussian_quantile_joint(0.5, 4, 8)
         assert j.n_x == 4 and j.n_y == 8
         assert_allclose(j.p_x, np.full(4, 0.25), atol=1e-12)
+
+
+class TestLancasterSpectrum:
+    """Nested quantile grids of a correlation-rho Gaussian against its whole
+    spectrum, sigma_k = |rho|**k (Lancaster 1958).  A grid compresses the
+    operator, so each sigma_k is at most |rho|**k and does not fall when the
+    grid is refined into a nested one (Cauchy interlacing); then d[m] is at
+    most |rho|**((m+1)(m+2)).  Each bound holds within 1e-6, the accuracy of
+    the table's cells."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.8, -0.6])
+    def test_whole_spectrum_under_refinement(self, rho):
+        bound = np.abs(rho) ** np.arange(1, 9)  # sigma_1 .. sigma_8
+        coarser = np.zeros(8)
+        for bins in (4, 16, 64, 256):  # each grid's edges are the next one's
+            s = singular_spectrum(gaussian_quantile_joint(rho, bins))
+            sigma = s.sigma[:8]
+            k = sigma.size
+            assert np.all(sigma <= bound[:k] + 1e-6), bins
+            assert np.all(sigma >= coarser[:k] - 1e-6), bins
+            coarser[:k] = sigma
+            m = np.arange(k)
+            d = s.profile(k - 1).d
+            assert np.all(d <= np.abs(rho) ** ((m + 1) * (m + 2)) + 1e-6), bins
 
 
 def _reference_bin_column(values, bins, strategy):

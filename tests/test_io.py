@@ -414,8 +414,8 @@ class TestTwoProcessParse:
         fork = os.fork
 
         def counted():
-            calls.append(None)
-            return fork()
+            calls.append(fork())  # the child's pid, as this process sees it
+            return calls[-1]
 
         monkeypatch.setattr(os, "fork", counted)
         return calls
@@ -458,23 +458,24 @@ class TestTwoProcessParse:
         )
 
     def test_child_leaves_the_parent_cpu(self, tmp_path, caplog, forks, monkeypatch):
-        """The child asks for every usable CPU but the one its parent ran on."""
-        asked = tmp_path / "affinity"
-        monkeypatch.setattr(depscale.io, "_current_cpu", lambda: 1)
+        """The parent asks, for its child's pid, every usable CPU but its own."""
+        asked = []
+        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 1)
         monkeypatch.setattr(os, "sched_setaffinity",
-                            lambda pid, cpus: asked.write_text(repr(sorted(cpus))),
+                            lambda pid, cpus: asked.append((pid, sorted(cpus))),
                             raising=False)
         path = tmp_path / "s.csv"
         path.write_text("x,y\n" + self.ROWS)
         got, how = _path_taken(caplog, load_samples_csv, path)
         assert (how, len(forks)) == ("two processes", 1)
-        assert asked.read_text() == "[0]"
+        assert asked == [(forks[0], [0])]
         assert got == _outcome(_per_cell, load_samples_csv, path)
 
     @pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"),
                         reason="reads Linux's /proc")
     def test_current_cpu_is_a_usable_cpu(self):
-        assert depscale.io._current_cpu() in os.sched_getaffinity(0)
+        """The placement rule's CPU read names a CPU this thread may run on."""
+        assert depscale.joints._current_cpu() in os.sched_getaffinity(0)
 
     def test_failed_fork_parses_in_one_pass(self, tmp_path, caplog, monkeypatch):
         _force_split(monkeypatch)
@@ -591,7 +592,8 @@ def _reference_samples_header(row):
     return any(not _reference_is_number(c) for c in row)
 
 
-def _reference_joint(path):
+def _reference_matrix(path, what):
+    """A joint's or covariance's cells, less a header row and label column."""
     rows = _reference_rows(path)
     body = rows[1:] if _reference_joint_header(rows[0]) else rows
     if not body:
@@ -599,20 +601,17 @@ def _reference_joint(path):
     if any(not _reference_is_number(r[0]) for r in body):
         body = [r[1:] for r in body]
     try:
-        probs = np.array([[float(c) for c in r] for r in body])
+        return np.array([[float(c) for c in r] for r in body])
     except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric cell in table body ({exc})") from exc
-    return make_joint(probs)
+        raise FormatError(f"{path}: {what} ({exc})") from exc
+
+
+def _reference_joint(path):
+    return make_joint(_reference_matrix(path, "non-numeric cell in table body"))
 
 
 def _reference_covariance(path, dim_x):
-    rows = _reference_rows(path)
-    try:
-        full = np.array([[float(c) for c in r] for r in rows])
-    except ValueError as exc:
-        raise FormatError(
-            f"{path}: covariance CSV must be purely numeric ({exc})"
-        ) from exc
+    full = _reference_matrix(path, "covariance CSV must be purely numeric")
     if full.shape[0] != full.shape[1]:
         raise FormatError(
             f"{path}: covariance matrix must be square, got {full.shape}"
@@ -747,7 +746,7 @@ class TestAgainstThePerCellReference:
                 if got != want and got == (NotPositiveDefiniteError, "NotPositiveDefinite"):
                     # The one intended change: the reference never read the
                     # cells below the diagonal (a nan cell breaks symmetry).
-                    full = np.array([[float(c) for c in r] for r in _reference_rows(path)])
+                    full = _reference_matrix(path, "")
                     assert not np.allclose(full, full.T, atol=1e-10, rtol=0, equal_nan=True)
                 else:
                     assert got == want, load.__name__

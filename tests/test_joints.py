@@ -1,5 +1,8 @@
 """Construction, validation, and joint-building helpers."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +27,8 @@ from depscale import (
     lambda_max,
     make_joint,
 )
-from depscale.joints import _sample_columns
+import depscale.joints
+from depscale.joints import _place_worker, _sample_columns
 
 
 class TestMakeJoint:
@@ -322,3 +326,41 @@ class TestSampleTable:
         s = SampleTable(x, y)  # the table keeps its own read-only copy
         x[0] = 9.0
         assert s.x[0] == 0.0 and not s.x.flags.writeable
+
+
+class TestPlaceWorker:
+    """The one placement rule: a worker gets every usable CPU but its starter's."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The (worker, CPUs) of each placement asked for, on a faked host
+        with CPUs 0 to 3 whose starter runs on CPU 2."""
+        calls = []
+        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: calls.append((pid, sorted(cpus))), raising=False)
+        return calls
+
+    def test_every_cpu_but_the_starters(self, asked):
+        _place_worker(4242)
+        assert asked == [(4242, [0, 1, 3])]
+
+    def test_nothing_without_proc(self, monkeypatch, asked):
+        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: None)
+        _place_worker(4242)
+        assert asked == []
+
+    def test_nothing_with_one_usable_cpu(self, monkeypatch, asked):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2}, raising=False)
+        _place_worker(4242)
+        assert asked == []
+
+    @pytest.mark.parametrize("code", [errno.ESRCH, errno.EINVAL, errno.EPERM],
+                             ids=["exited", "refused set", "not allowed"])
+    def test_a_refusal_leaves_the_worker_where_it_is(self, monkeypatch, asked, code):
+        def refuse(pid, cpus):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        _place_worker(4242)

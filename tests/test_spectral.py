@@ -358,8 +358,8 @@ def _spectrum_path(caplog, j):
 
 
 def _big_joint():
-    """256 x 300 cells: above the side-by-side threshold, yet quick."""
-    return random_joint(np.random.default_rng(3), 256, 300)
+    """512 x 520 cells: above the side-by-side threshold, yet quick."""
+    return random_joint(np.random.default_rng(3), 512, 520)
 
 
 class TestSideBySide:
@@ -393,11 +393,33 @@ class TestSideBySide:
         try:
             Q, Qc = _deflated_normalized(j)
             sigma0 = np.linalg.svd(Q, compute_uv=False)[0]
-            sigma = np.linalg.svd(Qc, compute_uv=False)[:255]
+            sigma = np.linalg.svd(Qc, compute_uv=False)[:511]
         finally:
             set_(old)
         assert s.sigma0 == sigma0
         assert s.sigma.tobytes() == np.clip(sigma, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(512, 512), (511, 513)], ids=["at", "below"])
+    def test_the_worker_leaves_the_caller_cpu(self, monkeypatch, blas, shape):
+        """At 512 x 512 cells the caller asks, for the worker thread's native
+        id, every usable CPU but its own; one cell fewer, no worker, no call."""
+        svd_values, workers, asked = spectral._svd_values, [], []
+
+        def recorded(a):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.get_native_id())
+            return svd_values(a)
+
+        monkeypatch.setattr(spectral, "_svd_values", recorded)
+        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: asked.append((pid, sorted(cpus))), raising=False)
+        singular_spectrum(random_joint(np.random.default_rng(7), *shape))
+        if shape == (512, 512):
+            assert len(workers) == 1 and asked == [(workers[0], [0, 2])]
+        else:
+            assert workers == [] and asked == []
 
     @pytest.mark.parametrize(
         "side, joint",
@@ -418,7 +440,7 @@ class TestSideBySide:
         with pytest.raises(SvdFailureError, match=f"on the {side}"):
             singular_spectrum(joint())
 
-    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (8, 64), (128, 128), (256, 300)],
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (8, 64), (128, 128), (256, 300), (512, 520)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_every_svd_runs_on_one_blas_thread(self, monkeypatch, caplog, blas, shape):
         svd_values, threads_seen = spectral._svd_values, []
