@@ -43,11 +43,10 @@ from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, SPECTRUM_SLACK, DiscreteJoin
                      _debug_logger, _frozen_array, _place_worker, _quarter_split,
                      check_tol, conditional_matrix)
 
-#: From this many cells (512 x 512) on, the SVDs of Q and Qc run side by
-#: side, Q's on a second thread placed off this one's CPU.  numpy releases
-#: the GIL only for an SVD whose shorter side passes 500, so a smaller
-#: square pair gains nothing from a thread (CHANGES.md has the measurements).
-_SIDE_BY_SIDE_CELLS = 262_144
+#: numpy releases the GIL for an SVD only when its shorter side passes this,
+#: so only then do the SVDs of Q and Qc run side by side, Q's on a second
+#: thread placed off this one's CPU (CHANGES.md has the measurements).
+_GIL_FREE_SIDE = 500
 
 #: Held while OpenBLAS is pinned, so two spectra built at once on different
 #: threads cannot restore each other's thread count out of order.
@@ -212,15 +211,15 @@ def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of ``Q`` and ``Qc``, with numpy's OpenBLAS held to
     one thread for the pair and then set back.
 
-    From ``_SIDE_BY_SIDE_CELLS`` cells on, Q's SVD runs on a second thread,
-    placed by :func:`~depscale.joints._place_worker`, while Qc's runs on
-    this one, and a worker's error is raised here.  Below that size, or with
-    no thread to be had, both run here.  When numpy carries no OpenBLAS of
-    its own, both run here at its own thread count.  One DEBUG record names
-    the path taken and the BLAS thread count.
+    When Q's shorter side passes ``_GIL_FREE_SIDE``, Q's SVD runs on a
+    second thread, placed by :func:`~depscale.joints._place_worker`, while
+    Qc's runs on this one, and a worker's error is raised here.  Otherwise,
+    or with no thread to be had, both run here.  When numpy carries no
+    OpenBLAS of its own, both run here at its own thread count.  One DEBUG
+    record names the path taken and the BLAS thread count.
     """
     blas = _openblas()
-    side_by_side = blas is not None and Q.size >= _SIDE_BY_SIDE_CELLS
+    side_by_side = blas is not None and min(Q.shape) > _GIL_FREE_SIDE
     log = _debug_logger()
     if log is not None:
         how = "side by side" if side_by_side else "one after the other"

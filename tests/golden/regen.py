@@ -6,15 +6,18 @@ rewrites ``records.json`` from the current tree.  Every case of
 :func:`cases` runs once with ``--format json`` and once with ``--format
 csv``; each run is one record of its argv, exit code, stdout and stderr.
 The stamp beside the records names the Python, numpy and OpenBLAS that made
-them.  A change that moves a report commits the rewritten file, and its
-diff is the list of report changes.  ``tests/test_golden.py`` replays the
-same cases and compares bytes.
+them.  After the rewrite it prints the argv of every record whose exit
+code, stdout or stderr changed, or "no report changed".  A change that
+moves a report commits the rewritten file, and its diff is the list of
+report changes.  ``tests/test_golden.py`` replays the same cases and
+compares bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -140,12 +143,27 @@ def _stamp() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "openblas": openblas}
 
 
+def name(argv: list[str]) -> str:
+    """The argv as one shell line, cut to 100 characters."""
+    line = shlex.join(argv)
+    return line if len(line) <= 100 else line[:97] + "..."
+
+
+def changed(old: list[dict], new: list[dict]) -> list[list[str]]:
+    """The argv of every new record that differs from the old record of the
+    same argv, or that has none."""
+    before = {tuple(r["argv"]): r for r in old}
+    return [r["argv"] for r in new if before.get(tuple(r["argv"])) != r]
+
+
 def main() -> None:
+    old = json.loads(RECORDS.read_text(encoding="utf-8"))["records"] if RECORDS.exists() else []
     stamp, records = replay(invocations())
     text = json.dumps({"stamp": stamp, "records": records}, indent=1, sort_keys=True,
                       ensure_ascii=False)
     RECORDS.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {RECORDS}")
+    print("\n".join(map(name, changed(old, records))) or "no report changed")
 
 
 if __name__ == "__main__":

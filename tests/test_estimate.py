@@ -1,5 +1,6 @@
 """Binning, plug-in estimation, and the analytic Gaussian discretization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from depscale import (
     maximal_correlation,
     singular_spectrum,
 )
+from depscale.cli import main
 from depscale.estimate import profile_of_joint
 
 
@@ -252,6 +254,20 @@ class TestLancasterSpectrum:
             m = np.arange(k)
             d = s.profile(k - 1).d
             assert np.all(d <= np.abs(rho) ** ((m + 1) * (m + 2)) + 1e-6), bins
+
+    def test_cli_reads_the_written_table(self, tmp_path, capsys):
+        """CLI ``compute`` on the 256-bin table written with ``repr`` cells
+        prints the in-memory spectrum, order and completeness."""
+        j = gaussian_quantile_joint(0.8, 256)
+        path = tmp_path / "gauss256.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in j.probs.tolist()))
+        assert main(["compute", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        s = singular_spectrum(j)
+        assert_allclose(report["sigma"], s.sigma, rtol=0, atol=1e-12)
+        assert (report["order"], report["complete"]) == (s.profile(None).order, s.complete())
+        sigma = np.asarray(report["sigma"][:8])
+        assert np.all(sigma <= 0.8 ** np.arange(1, 9) + 1e-6)
 
 
 def _reference_bin_column(values, bins, strategy):

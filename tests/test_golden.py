@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import difflib
 import json
-import shlex
 
 import pytest
 
-from golden.regen import RECORDS, invocations, replay
+from golden.regen import RECORDS, changed, invocations, name, replay
 
 
 def _lines(record: dict) -> list[str]:
     return [f"exit {record['exit']}", "stdout:", *record["stdout"].splitlines(),
             "stderr:", *record["stderr"].splitlines()]
-
-
-def _name(argv: list[str]) -> str:
-    name = shlex.join(argv)
-    return name if len(name) <= 100 else name[:97] + "..."
 
 
 def test_every_report_matches_its_record():
@@ -34,7 +28,7 @@ def test_every_report_matches_its_record():
         "records.json does not list the cases of regen.py: run python tests/golden/regen.py"
     stamp, records = replay(argvs)
     diffs = [
-        f"{_name(want['argv'])}\n" + "\n".join(difflib.unified_diff(
+        f"{name(want['argv'])}\n" + "\n".join(difflib.unified_diff(
             _lines(want), _lines(got), "recorded", "now", lineterm=""))
         for want, got in zip(recorded, records) if got != want
     ]
@@ -44,3 +38,12 @@ def test_every_report_matches_its_record():
             "Last bits can differ between hosts without any change to the code.")
         pytest.fail(f"{len(diffs)} of {len(recorded)} reports differ from {RECORDS.name}:\n"
                     + "\n\n".join(diffs) + host)
+
+
+def test_regen_names_only_the_records_that_changed():
+    a = {"argv": ["compute", "a.csv"], "exit": 0, "stdout": "{}\n", "stderr": ""}
+    b = {"argv": ["oracle", "a.csv"], "exit": 0, "stdout": "{}\n", "stderr": ""}
+    assert changed([a, b], [a, b]) == []
+    for field, value in [("exit", 2), ("stdout", "[]\n"), ("stderr", "warning\n")]:
+        assert changed([a, b], [a, dict(b, **{field: value})]) == [b["argv"]]
+    assert changed([a], [a, b]) == [b["argv"]]  # a new case

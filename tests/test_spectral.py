@@ -358,7 +358,7 @@ def _spectrum_path(caplog, j):
 
 
 def _big_joint():
-    """512 x 520 cells: above the side-by-side threshold, yet quick."""
+    """512 x 520 cells: a shorter side past the GIL's 500, yet quick."""
     return random_joint(np.random.default_rng(3), 512, 520)
 
 
@@ -384,7 +384,7 @@ class TestSideBySide:
 
     def test_values_equal_the_serial_values(self, caplog, blas):
         j = _big_joint()
-        assert j.probs.size >= spectral._SIDE_BY_SIDE_CELLS
+        assert min(j.probs.shape) > spectral._GIL_FREE_SIDE
         s, (how, threads) = _spectrum_path(caplog, j)
         assert (how, threads) == ("side by side", "1")
         get, set_ = blas
@@ -399,10 +399,12 @@ class TestSideBySide:
         assert s.sigma0 == sigma0
         assert s.sigma.tobytes() == np.clip(sigma, 0.0, 1.0).tobytes()
 
-    @pytest.mark.parametrize("shape", [(512, 512), (511, 513)], ids=["at", "below"])
+    @pytest.mark.parametrize("shape", [(512, 512), (501, 501), (500, 530)],
+                             ids=["at", "first", "below"])
     def test_the_worker_leaves_the_caller_cpu(self, monkeypatch, blas, shape):
-        """At 512 x 512 cells the caller asks, for the worker thread's native
-        id, every usable CPU but its own; one cell fewer, no worker, no call."""
+        """Once the shorter side passes 500 the caller asks, for the worker
+        thread's native id, every usable CPU but its own; at 500, however
+        many cells, no worker and no call."""
         svd_values, workers, asked = spectral._svd_values, [], []
 
         def recorded(a):
@@ -416,7 +418,7 @@ class TestSideBySide:
         monkeypatch.setattr(os, "sched_setaffinity",
                             lambda pid, cpus: asked.append((pid, sorted(cpus))), raising=False)
         singular_spectrum(random_joint(np.random.default_rng(7), *shape))
-        if shape == (512, 512):
+        if min(shape) > spectral._GIL_FREE_SIDE:
             assert len(workers) == 1 and asked == [(workers[0], [0, 2])]
         else:
             assert workers == [] and asked == []
@@ -440,7 +442,8 @@ class TestSideBySide:
         with pytest.raises(SvdFailureError, match=f"on the {side}"):
             singular_spectrum(joint())
 
-    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (8, 64), (128, 128), (256, 300), (512, 520)],
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (8, 64), (128, 128), (256, 300), (480, 560),
+                                       (501, 520), (512, 520)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_every_svd_runs_on_one_blas_thread(self, monkeypatch, caplog, blas, shape):
         svd_values, threads_seen = spectral._svd_values, []
@@ -453,7 +456,7 @@ class TestSideBySide:
         j = random_joint(np.random.default_rng(4), *shape)
         _, (how, threads) = _spectrum_path(caplog, j)
         assert threads_seen == [1, 1]
-        side_by_side = j.probs.size >= spectral._SIDE_BY_SIDE_CELLS
+        side_by_side = min(shape) > spectral._GIL_FREE_SIDE
         assert (how, threads) == ("side by side" if side_by_side else "one after the other", "1")
 
     def test_silent_by_default(self, caplog, blas):
