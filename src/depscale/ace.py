@@ -13,8 +13,11 @@ squared singular values, so the alternation is subspace iteration.  It runs
 on k + 8 functions (at most the n_x - 1 mean-zero ones), so pair i converges
 at rate (sigma_{k+9}/sigma_i)^2 rather than (sigma_{k+1}/sigma_k)^2 (Halko,
 Martinsson and Tropp 2011), and applies Rayleigh-Ritz every sweep (Saad
-2011, ch. 5).  It stops on the residual ||E{psi_i|X} - rho_i phi_i||, which
-bounds the error of rho_i.  No SVD of the normalized table is taken.
+2011, ch. 5) by the SVD of the R factor of the weighted images (their Gram
+matrix would bury each rho below sqrt(eps) rho_1, ibid. sec. 4.5).  It stops
+once each residual ||E{psi_i|X} - rho_i phi_i||, a bound on the error of
+rho_i, is at most max(tol, ROUNDOFF rho_1 / rho_i).  No SVD of the
+normalized table is taken.
 
 Results are reported rather than raised: a joint with no nontrivial pair
 (independence) comes back flagged ``degenerate`` with rho = 0, and an
@@ -28,15 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joints import (DEFAULT_ORDER_TOL, STANDARDIZED_TOL, VANISHING_SHARE, DiscreteJoint,
-                     FunctionTable, check_tol)
+from .joints import (DEFAULT_ORDER_TOL, ROUNDOFF, STANDARDIZED_TOL, VANISHING_SHARE,
+                     DiscreteJoint, FunctionTable, check_tol, conditional_matrix)
 
 #: Functions iterated beyond the k requested (capped at n_x - 1).
 _OVERSAMPLE = 8
-
-#: Smallest residual asked for: roundoff keeps a residual from reaching 0,
-#: so a smaller tol (tol = 0 included) is raised to this level.
-_MIN_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,12 @@ def ace_subspace(
     """Leading ``k`` transform pairs by oversampled subspace iteration.
 
     Iterates min(k + 8, n_x - 1) functions of X, orthonormal under the
-    X-marginal.  Each sweep rotates them by Rayleigh-Ritz so the correlations
-    come out individually extremal and descending, and stops once every
-    leading pair that is not degenerate has residual
-    ||E{psi_i|X} - rho_i phi_i|| <= ``tol`` (finite and >= 0; below 64
-    machine epsilons, tol = 0 included, it is raised to that roundoff level).
+    X-marginal.  Each sweep rotates them by Rayleigh-Ritz (the SVD of the R
+    factor of their weighted images) so the correlations come out
+    individually extremal and descending, and stops once every leading pair
+    that is not degenerate has residual ||E{psi_i|X} - rho_i phi_i|| at most
+    max(``tol``, ROUNDOFF rho_1 / rho_i) (``tol`` finite and >= 0; below
+    ROUNDOFF, 64 machine epsilons, tol = 0 included, it is raised to that).
     Pairs with rho at most that tol, or beyond the rank, are degenerate, rho = 0.
     ``max_iter`` (the sweep budget) must be at least 1.
     """
@@ -108,11 +108,11 @@ def ace_subspace(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_tol(tol)
-    cut = max(tol, _MIN_TOL)
+    cut = max(tol, ROUNDOFF)
     p_x, p_y = j.p_x, j.p_y
     # Conditional expectation operators as plain matrices:
     # (E{phi|Y})(y) = sum_x phi(x) P(x,y)/p_y(y), and symmetrically.
-    to_y = j.probs / p_y[None, :]
+    to_y = conditional_matrix(j)
     to_x = j.probs / p_x[:, None]
 
     # Only n_x - 1 mean-zero directions exist on X: the block is capped
@@ -127,24 +127,22 @@ def ace_subspace(
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        # Rayleigh-Ritz: diagonalize the covariance of the centred images
-        # G = E{F|Y} and rotate so the Ritz values rho^2 descend.
+        # Rayleigh-Ritz: rotate so the centred images G = E{F|Y} come out
+        # uncorrelated under p_y, with descending variances rho^2.
         G = F.T @ to_y
         G -= (G @ p_y)[:, None]
-        C = (G * p_y[None, :]) @ G.T
-        V = np.linalg.eigh((C + C.T) / 2.0)[1][:, ::-1]
+        V = np.linalg.svd(np.linalg.qr((G * np.sqrt(p_y)).T, mode="r"))[2].T
         F, G = F @ V, V.T @ G
-        # Read as variances of the rotated images, not as eigenvalues of C,
-        # the Ritz values of null directions stay at roundoff, below the cut.
         rho2 = (G**2) @ p_y
         trace.append(float(np.sqrt(rho2[0])))
         back = to_x @ G.T  # E{G|X}
         # With psi_i = G_i / rho_i, the residual E{psi_i|X} - rho_i phi_i is
-        # (back_i - rho_i^2 phi_i) / rho_i; compare it to tol without dividing.
+        # (back_i - rho_i^2 phi_i) / rho_i; compare it to tol without dividing,
+        # and ask no less than ROUNDOFF rho_1 of it: back's rounding is eps rho_1.
         lead = rho2[:k_eff]
         res = np.sqrt(((back[:, :k_eff] - F[:, :k_eff] * lead) ** 2).T @ p_x)
         live = np.sqrt(lead) > cut
-        if np.all(res[live] <= cut * np.sqrt(lead[live])):
+        if np.all(res[live] <= np.maximum(cut * np.sqrt(lead[live]), ROUNDOFF * trace[-1])):
             converged = True
             break
         F = _orthonormal_frame(back, p_x)

@@ -189,6 +189,19 @@ class TestOversampledIteration:
             m = min(4, min(j.n_x, j.n_y) - 1)
             assert_matches_spectrum(j, pairs[:m])
 
+    @pytest.mark.parametrize("top", [(0.5, 1.1e-12, 5e-13), (0.5, 1.1e-10, 5e-11)])
+    def test_values_far_below_sqrt_eps_converge(self, top):
+        # A Gram matrix of the images would bury these values under its
+        # rounding (sqrt(eps) rho_1).  Neither route resolves a value past
+        # about eps rho_1 in absolute terms, so that is the slack.
+        for seed in range(4):
+            j = hadamard_joint(np.random.default_rng(seed), 8, np.array(top))
+            sigma = singular_spectrum(j).sigma[:7]
+            pairs = ace_subspace(j, 7, tol=0.0, max_iter=300)
+            assert all(p.converged and not p.degenerate for p in pairs)
+            err = np.abs(np.array([p.rho for p in pairs]) - sigma)
+            assert np.all(err <= 1e-8 * sigma + np.finfo(float).eps * sigma[0])
+
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_invalid_tolerance_is_rejected(self, tol):
         j = make_joint(FIXTURE)
@@ -269,15 +282,29 @@ def _near_the_cut(draw):
     return tol, [0.5, *(tol * f for f in factors)]
 
 
+@st.composite
+def _at_the_cut(draw):
+    """A tolerance and a leading spectrum: 0.5, then one value 1.01x to
+    1.1x above or below the tolerance, and one at half of it."""
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8]))
+    factor = draw(st.floats(1.01, 1.1))
+    near = tol * factor if draw(st.booleans()) else tol / factor
+    return tol, [0.5, near, tol / 2]
+
+
 class TestZeroRule:
     """``order`` and ACE call the same singular values zero: those at most
     ``tol``.
 
-    The values sit at least a factor 2 from the cut: ACE stops once each
-    pair above the cut has residual at most ``tol * rho``, which bounds the
-    error of rho by about ``tol`` only, so a value closer to the cut may be
-    read on its other side (1.1e-8 as 1.09e-8 and 0.99e-8 as 1.002e-8 at
-    ``tol`` 1e-8, for one).
+    ACE stops once each pair above the cut has residual at most
+    ``max(tol * rho, ROUNDOFF * rho_1)``, which bounds the error of rho by
+    about ``tol`` only, and a pair whose Ritz value sits under the cut is
+    not held to it.  With the block as wide as the alphabet, values 1.01x
+    to 1.1x from the cut are read on their side; with a narrower block such
+    a value may be read on its other side (1.01e-8 as 0.988e-8 at ``tol``
+    1e-8 with k = 4 on a 32 x 32 table whose tail lies from 0.95 to 0.3 of
+    the cut, for one).  Both tests use the full block; the first places its
+    values at least a factor 2 from the cut, the second 1.01x to 1.1x.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -286,7 +313,15 @@ class TestZeroRule:
     @example(case=(1e-10, [0.5, 1e-11, 1e-13]), n=4, seed=0)
     @example(case=(1e-8, [0.5, 1e-11, 1e-13]), n=4, seed=0)
     def test_order_is_the_count_of_nondegenerate_pairs(self, case, n, seed):
-        tol, top = case
+        self.assert_zero_rule(*case, n, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_at_the_cut(), n=st.sampled_from([4, 8]), seed=st.integers(0, 2**16))
+    def test_values_just_off_the_cut_with_the_full_block(self, case, n, seed):
+        self.assert_zero_rule(*case, n, seed)
+
+    @staticmethod
+    def assert_zero_rule(tol, top, n, seed):
         j = hadamard_joint(np.random.default_rng(seed), n, np.array(top))
         order = singular_spectrum(j).order(tol)
         # The tail of the construction lies from 4e-4 down to 1e-6.
