@@ -100,8 +100,9 @@ def ace_subspace(
     that is not degenerate has residual ||E{psi_i|X} - rho_i phi_i|| at most
     max(``tol``, ROUNDOFF rho_1 / rho_i) (``tol`` finite and >= 0; below
     ROUNDOFF, 64 machine epsilons, tol = 0 included, it is raised to that).
-    Pairs with rho at most that tol, or beyond the rank, are degenerate, rho = 0.
-    ``max_iter`` (the sweep budget) must be at least 1.
+    Returns min(k, max(n_x - 1, 1)) pairs, as only n_x - 1 mean-zero
+    functions of X exist; those with rho at most that tol (beyond the rank)
+    are degenerate, rho = 0.  ``max_iter`` (the sweep budget) must be >= 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -115,11 +116,9 @@ def ace_subspace(
     to_y = conditional_matrix(j)
     to_x = j.probs / p_x[:, None]
 
-    # Only n_x - 1 mean-zero directions exist on X: the block is capped
-    # there, and pairs asked beyond them are padded with degenerate ones.
     directions = max(j.n_x - 1, 1)
-    k_eff = min(k, directions)
-    b = min(k_eff + _OVERSAMPLE, directions)
+    k = min(k, directions)
+    b = min(k + _OVERSAMPLE, directions)
     rng = np.random.default_rng(seed)
     F = _orthonormal_frame(rng.standard_normal((j.n_x, b)), p_x)
 
@@ -139,8 +138,8 @@ def ace_subspace(
         # With psi_i = G_i / rho_i, the residual E{psi_i|X} - rho_i phi_i is
         # (back_i - rho_i^2 phi_i) / rho_i; compare it to tol without dividing,
         # and ask no less than ROUNDOFF rho_1 of it: back's rounding is eps rho_1.
-        lead = rho2[:k_eff]
-        res = np.sqrt(((back[:, :k_eff] - F[:, :k_eff] * lead) ** 2).T @ p_x)
+        lead = rho2[:k]
+        res = np.sqrt(((back[:, :k] - F[:, :k] * lead) ** 2).T @ p_x)
         live = np.sqrt(lead) > cut
         if np.all(res[live] <= np.maximum(cut * np.sqrt(lead[live]), ROUNDOFF * trace[-1])):
             converged = True
@@ -148,7 +147,7 @@ def ace_subspace(
         F = _orthonormal_frame(back, p_x)
 
     out: list[TransformPair] = []
-    for i in range(k_eff):
+    for i in range(k):
         phi = F[:, i]
         image = phi @ to_y
         psi, var = _standardize(image, p_y)
@@ -172,17 +171,14 @@ def ace_subspace(
                 trace=tuple(trace),
             )
         )
-    # One frozen pair, repeated: a huge k costs a list, not k constructions.
-    return out + [_degenerate_pair(j, None, sweeps, trace)] * (k - k_eff)
+    return out
 
 
 def _degenerate_pair(
-    j: DiscreteJoint, phi: np.ndarray | None, sweeps: int, trace: list[float]
+    j: DiscreteJoint, phi: np.ndarray, sweeps: int, trace: list[float]
 ) -> TransformPair:
     """A flagged rho = 0 pair with arbitrary (standardized where possible) tables."""
     p_x, p_y = j.p_x, j.p_y
-    if phi is None:
-        phi = _standardize(np.arange(j.n_x, dtype=float), p_x)[0]
     phi_var = _standardize(phi, p_x)[1]
     psi, psi_var = _standardize(np.arange(j.n_y, dtype=float), p_y)
     return TransformPair(

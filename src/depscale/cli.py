@@ -20,6 +20,7 @@ import csv
 import io as _io
 import json
 import os
+import re
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
@@ -75,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
     except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError, OverflowError: -k, --restarts or --max-order too large to allocate for.
+        # MemoryError, OverflowError: --restarts or --max-order too large to allocate for.
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:
@@ -86,8 +87,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as ``ValueError``, which ``main`` turns into the
-    structured ``InvalidArgument`` object (exit 2); ``--help`` is unchanged."""
+    """A usage error is a ``ValueError`` (``main`` prints ``InvalidArgument``,
+    exit 2; ``--help`` is unchanged), and ``-1e-3`` is a number, not an option."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(f"{self.prog}: {message}")

@@ -38,7 +38,7 @@ STANDARDIZED_TOL = 1e-8  #: variance 1: a table this close to it is standardized
 VANISHING_SHARE = 1e-9  #: largest entry: a smaller share of it vanishes in the sign rule
 COV_SLACK = 1e-10  #: equilibrated diagonal: slack on symmetry and on PSD
 COV_FLOOR = 1e-12  #: equilibrated diagonal: a diagonal block's eigenvalues exceed it
-ROUNDOFF = 64 * np.finfo(float).eps  #: sigma0: least ACE cut; times rho_1, least residual
+ROUNDOFF = 64 * np.finfo(float).eps  #: sigma0: least zero cut; times rho_1, least ACE residual
 
 
 def check_tol(tol: float) -> None:

@@ -39,7 +39,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import NonConvergenceError, SvdFailureError
-from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, SPECTRUM_SLACK, DiscreteJoint,
+from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, ROUNDOFF, SPECTRUM_SLACK, DiscreteJoint,
                      _debug_logger, _frozen_array, _place_worker, _quarter_split,
                      check_tol, conditional_matrix)
 
@@ -75,8 +75,8 @@ class SingularSpectrum:
     order, all in [0, 1].  ``shape`` is the joint's (|X|, |Y|).
 
     Every dependence quantity of the joint is read from this one object, and
-    every tolerance question is answered by one rule: a singular value
-    counts as zero when it is at most ``tol``.
+    every tolerance question is answered by one rule, ACE's: a singular value
+    counts as zero when it is at most ``tol``, raised to 64 machine epsilons when smaller.
     """
 
     sigma0: float
@@ -111,14 +111,14 @@ class SingularSpectrum:
 
     def order(self, tol: float = DEFAULT_ORDER_TOL) -> int:
         """Dependence order: the numerical rank of ``sigma``, i.e. the first
-        m with sigma_{m+1} <= tol (values beyond the spectrum count as zero).
+        m with sigma_{m+1} <= max(tol, ROUNDOFF); values beyond the spectrum are 0.
 
         The conditional images span this many directions beyond constants,
         and d[m] vanishes from this m on.  At most min(|X|, |Y|) - 1.
         ``tol`` must be finite and nonnegative (checked here for all three).
         """
         check_tol(tol)
-        below = np.flatnonzero(self.sigma <= tol)
+        below = np.flatnonzero(self.sigma <= max(tol, ROUNDOFF))
         return int(below[0]) if below.size else int(self.sigma.size)
 
     def complete(self, tol: float = DEFAULT_ORDER_TOL) -> bool:

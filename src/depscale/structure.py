@@ -52,7 +52,7 @@ def check_completeness(j: DiscreteJoint, tol: float = DEFAULT_ORDER_TOL) -> Comp
 
     The verdict is :meth:`SingularSpectrum.complete`: |X| <= |Y| (with
     |X| > |Y| a nonconstant kernel function always exists) and all
-    min(|X|, |Y|) - 1 nontrivial singular values exceed ``tol``.  Only an
+    min(|X|, |Y|) - 1 nontrivial singular values exceed max(``tol``, ROUNDOFF).  Only an
     incomplete joint pays for the witness.
     """
     spectrum = singular_spectrum(j)

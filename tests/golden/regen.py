@@ -44,6 +44,7 @@ def cases() -> list[list[str]]:
         ["oracle", "fixture.csv"],
         ["transforms", "fixture.csv"],
         ["transforms", "fixture.csv", "-k", "3"],
+        ["transforms", "fixture.csv", "-k", "1000000"],
         ["gaussian", "block.csv", "--dim-x", "2"],
         ["compute", "not_normalized.csv"],
         # Every step of the four benchmark workloads at seed 1, smoke size.
@@ -62,6 +63,10 @@ def cases() -> list[list[str]]:
         ["estimate", "smoke_samples.csv", "--x", "x", "--y", "y1", "--strategy", "uniform-width"],
         ["estimate", "label_samples.csv", "--x", "g", "--y", "v", "--strategy", "categorical"],
         ["gaussian", "smoke_cov.csv", "--dim-x", "1"],
+        ["gaussian", "smoke_cov.csv", "--dim-x", "1", "--lambdas", "-1e-3", "0.5"],
+        # Rank 1 on 3 x 3: sigma_2 is rounding residue (2.7e-17), zero at tol 0.
+        ["compute", "rank_deficient.csv", "--tol", "0"],
+        ["transforms", "rank_deficient.csv", "-k", "2", "--tol", "0"],
         # Errors: exit 2, then exit 3.
         ["gaussian", "block.csv", "--dim-x", "2", "--lambdas", "0", "1"],
         ["gaussian", "block.csv", "--dim-x", "3"],

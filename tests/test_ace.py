@@ -252,19 +252,23 @@ class TestSubspace:
         assert all(p.degenerate for p in pairs)
         assert all(p.rho == 0.0 for p in pairs)
 
-    def test_k_beyond_alphabet_is_padded(self):
-        pairs = ace_subspace(make_joint(FIXTURE), 3)
-        assert len(pairs) == 3
-        assert not pairs[0].degenerate
-        assert pairs[1].degenerate and pairs[2].degenerate
+    def test_k_beyond_alphabet_is_capped(self):
+        # Only |X| - 1 mean-zero functions of X exist, so no filler pairs.
+        for k in (1, 3, 10**20):
+            pairs = ace_subspace(make_joint(FIXTURE), k)
+            assert len(pairs) == 1
+            assert not pairs[0].degenerate
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             ace_subspace(make_joint(FIXTURE), 0)
 
-    def test_padded_tables_are_standardized(self):
-        j = make_joint([[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]])
-        for pair in ace_subspace(j, 3)[1:]:
+    def test_degenerate_tables_are_standardized(self):
+        # Rank 1 on a 3 x 3 table: the second pair is computed and degenerate.
+        j = make_joint([[0.2, 0.1, 0.1], [0.1, 0.05, 0.05], [0.1, 0.15, 0.15]])
+        pairs = ace_subspace(j, 3)
+        assert len(pairs) == 2 and not pairs[0].degenerate
+        for pair in pairs[1:]:
             assert pair.degenerate
             for table, marginal in ((pair.phi, j.p_x), (pair.psi, j.p_y)):
                 assert table.standardized

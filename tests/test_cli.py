@@ -262,7 +262,7 @@ class TestTransformsProperties:
         report = run_on_table(tmp_path_factory, table, "transforms", "-k", str(k))
         if report is None:
             return
-        assert len(report["pairs"]) == k
+        assert len(report["pairs"]) == min(k, max(len(table) - 1, 1))
         assert all(0 <= p["rho"] <= 1 for p in report["pairs"])
 
 
@@ -709,6 +709,16 @@ class TestGaussian:
         assert curve["R"][1] == 0.5
         assert_allclose(curve["R"][0], 0.5 / np.sqrt(2.0), atol=1e-15)
 
+    @pytest.mark.parametrize("lambdas", [["-1e-3", "0.5"], ["0.5", "-1e-3"],
+                                         ["-1E+0", "-.5", "-2."]])
+    def test_a_negative_lambda_in_exponent_form_is_a_value(self, capsys, tmp_path, lambdas):
+        # argparse's stock pattern reads -1e-3 as an option; the CLI widens
+        # its (private) negative-number matcher, which this pins.
+        path = write(tmp_path, "c.csv", "1,0.5\n0.5,1\n")
+        code, out, err = run_cli(capsys, "gaussian", path, "--dim-x", "1", "--lambdas", *lambdas)
+        assert code == 0 and err == ""
+        assert json.loads(out)["noise_curve"]["lambda"] == sorted(map(float, lambdas))
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_lambda_is_rejected(self, capsys, tmp_path, bad):
         path = write(tmp_path, "c.csv", "1,0.5\n0.5,1\n")
@@ -792,13 +802,13 @@ class TestTransforms:
         assert pair["degenerate"] is False
         assert pair["sweeps"] >= 1
 
-    def test_second_pair_of_a_two_atom_joint_is_degenerate(self, capsys, tmp_path):
+    def test_a_two_atom_joint_has_one_pair(self, capsys, tmp_path):
+        # One mean-zero function of X exists, so -k 2 adds no filler pair.
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
         _, out, _ = run_cli(capsys, "transforms", path, "-k", "2")
         pairs = json.loads(out)["pairs"]
-        assert len(pairs) == 2
-        assert pairs[1]["degenerate"] is True
-        assert pairs[1]["rho"] == 0.0
+        assert len(pairs) == 1
+        assert pairs[0]["degenerate"] is False
 
     def test_independent_joint_reports_degenerate_pair(self, capsys, tmp_path):
         path = write(tmp_path, "j.csv", INDEPENDENT_CSV)
@@ -921,9 +931,14 @@ class TestArguments:
              "depscale compute: argument --format: invalid choice: 'xml'"),
             (["compute"], "depscale compute: the following arguments are required: joint"),
             ([], "depscale: the following arguments are required: command"),
+            # A negative number is a value, and anything else after a dash
+            # is still an option.
+            (["gaussian", "{path}", "--dim-x", "1", "--lambdas", "-x"],
+             "depscale gaussian: argument --lambdas: expected at least one argument"),
+            (["transforms", "{path}", "-k", "-1"], "k must be >= 1, got -1"),
         ],
         ids=["bad-int", "compute-seed", "estimate-seed", "gaussian-tol", "bad-choice",
-             "missing-path", "no-subcommand"],
+             "missing-path", "no-subcommand", "lambdas-option", "negative-k"],
     )
     def test_usage_errors_are_structured(self, capsys, tmp_path, argv, message):
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
@@ -955,11 +970,10 @@ class TestArguments:
         assert code == 2 and out == ""
         assert json.loads(err) == {"schema": "v1", "error": "InvalidArgument", "message": message}
 
-    def test_a_huge_k_is_an_invalid_argument(self, tmp_path):
-        # Pairs beyond the alphabet are padded, and a list of 1e11 of them
-        # cannot be allocated; a count of 1e20 does not fit a list's index.
-        # The address-space limit and the timeout keep a regression that
-        # builds the pairs one by one from filling memory.  The limit is set
+    def test_a_huge_k_prints_the_pairs_that_exist(self, tmp_path):
+        # A 2 x 2 joint has |X| - 1 = 1 pair whatever -k asks.  The
+        # address-space limit and the timeout keep a regression that pads
+        # the report with filler pairs from filling memory.  The limit is set
         # in the child itself: a fork that runs Python code before exec
         # (preexec_fn) is unsafe in this threaded process.
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
@@ -973,10 +987,8 @@ class TestArguments:
                 [sys.executable, "-c", limited_cli, "transforms", path, "-k", k],
                 env=child_env(), capture_output=True, text=True, timeout=15,
             )
-            assert proc.returncode == 2 and proc.stdout == "", (k, proc.stderr)
-            error = json.loads(proc.stderr)
-            assert (error["schema"], error["error"]) == ("v1", "InvalidArgument")
-            assert error["message"]
+            assert proc.returncode == 0 and proc.stderr == "", (k, proc.stderr)
+            assert len(json.loads(proc.stdout)["pairs"]) == 1
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -8,6 +8,7 @@ from conftest import random_finite_rank, random_independent, random_joint
 from depscale import (
     FunctionTable,
     InvalidDistributionError,
+    ace_subspace,
     check_completeness,
     conditional_matrix,
     dependence_scale,
@@ -194,3 +195,24 @@ class TestClassMembership:
                 continue
             for m in range(min(j.n_x, j.n_y) - 1):
                 assert not member(j, m)
+
+
+class TestOneZeroRule:
+    """``compute`` and ``transforms`` read the same rank off a finite-rank
+    joint at any ``tol``: rounding residue (about 1e-17) is zero to both,
+    because each raises a ``tol`` below 64 machine epsilons to that."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-15])
+    def test_built_rank_is_the_order_and_the_nondegenerate_pair_count(self, tol):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n_x, n_y = (int(n) for n in rng.integers(3, 9, size=2))
+            rank = int(rng.integers(0, min(n_x, n_y)))
+            j = (random_finite_rank(rng, rank, n_x, n_y) if rank
+                 else random_independent(rng, n_x, n_y))
+            assert singular_spectrum(j).order(tol) == rank, seed
+            full = n_x <= n_y and rank == min(n_x, n_y) - 1
+            assert check_completeness(j, tol).complete is full, seed
+            pairs = ace_subspace(j, n_x - 1, tol=tol)
+            assert len(pairs) == n_x - 1, seed
+            assert sum(not p.degenerate for p in pairs) == rank, seed

@@ -43,5 +43,6 @@ def test_small_float_literals_live_only_in_the_joints_table():
 
 def test_moved_tolerances_are_the_table_entries():
     assert depscale.ace.ROUNDOFF is depscale.joints.ROUNDOFF
+    assert depscale.spectral.ROUNDOFF is depscale.joints.ROUNDOFF
     assert depscale.spectral.SPECTRUM_SLACK is depscale.joints.SPECTRUM_SLACK
     assert depscale.structure.CONSTRUCTION_MASS_TOL is depscale.joints.CONSTRUCTION_MASS_TOL
