@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
     except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError, OverflowError: --restarts or --max-order too large to allocate for.
+        # MemoryError, OverflowError: --restarts or --bins too large to allocate for.
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:
@@ -172,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _profile_report(
     spectrum: SingularSpectrum, max_order: int | None, tol: float
 ) -> dict[str, Any]:
-    profile = spectrum.profile(max_order, tol)
+    s = spectrum.sigma.size  # D ends at d[s], its first structural zero
+    profile = spectrum.profile(s if max_order is None else min(max_order, s), tol)
     return {
         "schema": SCHEMA,
         "sigma0": spectrum.sigma0,
@@ -250,12 +251,13 @@ def _cmd_oracle(args: argparse.Namespace) -> dict[str, Any]:
     j = load_joint_csv(args.joint)
     value = gram_det_oracle(j, args.m, restarts=args.restarts, seed=args.seed,
                             tol=args.tol)
-    spectral = dependence_scale(j, args.m)
+    m = min(args.m, min(j.probs.shape) - 1)  # past its first structural zero, d[m] is 0
+    spectral = dependence_scale(j, m)
     return {
         "schema": SCHEMA,
         "m": args.m,
         "oracle": value,
-        "spectral": float(spectral.d[args.m]),
+        "spectral": float(spectral.d[m]),
     }
 
 

@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import FormatError, InvalidBlockError
 from .joints import (DiscreteJoint, GaussianJoint, _debug_logger, _equilibrate, _place_worker,
-                     make_joint)
+                     _spare_cpus, make_joint)
 
-#: A numeric body of at least this many bytes is parsed in two halves at
-#: once, one of them in a forked child, when more than one CPU is usable.
-#: The fork, the pipe and the join cost a few milliseconds; on a 2-vCPU x86
-#: VM the split broke even at 0.4-1.7 MB of body, depending on the cell
+#: A numeric body of at least this many bytes may be parsed in two halves at
+#: once (:func:`_parse_body`).  The fork, the pipe and the join cost a few ms;
+#: on a 2-vCPU x86 VM the split broke even at 0.4-1.7 MB of body, by the cell
 #: format, and 2 MB keeps a margin (CHANGES.md has the measurements).
 _SPLIT_BYTES = 2_000_000
 
@@ -138,11 +137,8 @@ def _next_row(data: bytes, pos: int) -> tuple[int, int] | None:
 
 def _split_point(data: bytes, start: int) -> int | None:
     """The first line start after the middle of the body from byte ``start``
-    on, with a row after it; None when the body is small, one CPU is usable
-    or the platform cannot fork."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if len(data) - start < _SPLIT_BYTES or cpus < 2 or not hasattr(os, "fork"):
+    on, with a row after it; None when the body is small."""
+    if len(data) - start < _SPLIT_BYTES:
         return None
     before_middle = (start + len(data) - 1) // 2  # the byte before the middle
     mid = next(_lines(data, before_middle))[1]
@@ -162,15 +158,16 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
     parsed.  A non-blank row begins at ``start`` and another follows the
     split point, so neither half of a split is empty.
 
-    Given a split point ``mid``, a forked child parses the bytes ``[start,
-    mid)`` while this process parses the rest, and sends its shape and
-    float64 bytes down a pipe.  Both halves go through the same parser, so
-    the values are those of one pass.  A failed child (an error, a short
-    read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
-    This process places the child by :func:`~depscale.joints._place_worker`.
+    Given a split point ``mid`` and a spare CPU for a fork, from
+    :func:`~depscale.joints._spare_cpus`, a forked child placed there parses
+    the bytes ``[start, mid)`` while this process parses the rest, and sends
+    its shape and float64 bytes down a pipe.  Both halves go through the same
+    parser, so the values are those of one pass.  A failed child (an error, a
+    short read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
     """
     mid = _split_point(data, start)
-    if mid is None:
+    cpus = set() if mid is None else _spare_cpus(fork=True)
+    if not cpus:
         return _loadtxt(data, start), "one pass"
     r, w = os.pipe()
     try:
@@ -190,7 +187,7 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
             code = 0
         finally:
             os._exit(code)
-    _place_worker(pid)
+    _place_worker(pid, cpus)
     os.close(w)
     try:
         with open(r, "rb") as src:

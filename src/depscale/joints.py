@@ -57,30 +57,33 @@ def _debug_logger() -> Any:
     return None if logging is None else logging.getLogger("depscale")
 
 
-def _current_cpu() -> int | None:
-    """The CPU this thread last ran on, from Linux's ``/proc``; else None."""
+def _stat_field(path: str, field: int) -> int | None:
+    """Field ``field`` of a Linux ``/proc`` stat file, numbered as in proc(5), or None."""
     try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # field 39, the 37th after the parenthesised command name
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+        with open(path, "rb") as fh:  # field 3 is the first after the command name
+            return int(fh.read().rsplit(b")", 1)[1].split()[field - 3])
     except (OSError, ValueError, IndexError):
         return None
 
 
-def _place_worker(worker: int) -> None:
-    """Give ``worker`` (a forked child's pid, a thread's native id) every
-    usable CPU but this thread's: the one placement rule of both parallel
-    steps, applied by the starter just after it starts its worker.  On a VM
-    whose other vCPU has idled, Linux at times starts a new task beside its
-    starter, and the two then share one CPU for the whole step.  Without
-    ``/proc`` or a second usable CPU, or if the host refuses, nothing happens."""
-    cpu = _current_cpu()
-    others = os.sched_getaffinity(0) - {cpu} if cpu is not None else None
-    if others:
-        try:
-            os.sched_setaffinity(worker, others)
-        except OSError:  # a set the host refuses, or a worker already gone (ESRCH)
-            pass
+def _spare_cpus(fork: bool = False) -> set[int]:
+    """The usable CPUs but this thread's, which both parallel steps give their
+    worker by :func:`_place_worker`; empty, so no worker, without ``/proc`` or a
+    second usable CPU, or for a ``fork`` when this process has other threads."""
+    cpu = _stat_field("/proc/thread-self/stat", 39)
+    if cpu is None or fork and _stat_field("/proc/self/stat", 20) != 1:
+        return set()
+    return os.sched_getaffinity(0) - {cpu}
+
+
+def _place_worker(worker: int, cpus: set[int]) -> None:
+    """Give ``worker`` (a forked child's pid, a thread's native id) ``cpus``
+    just after it starts: on a VM whose other vCPU has idled, Linux at times
+    starts a new task beside its starter, on one CPU for the whole step."""
+    try:
+        os.sched_setaffinity(worker, cpus)
+    except OSError:  # a set the host refuses, or a worker already gone (ESRCH)
+        pass
 
 
 def _quarter_split(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

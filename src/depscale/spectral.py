@@ -41,11 +41,11 @@ import numpy as np
 from .errors import NonConvergenceError, SvdFailureError
 from .joints import (DEFAULT_ORDER_TOL, ORACLE_TOL, ROUNDOFF, SPECTRUM_SLACK, DiscreteJoint,
                      _debug_logger, _frozen_array, _place_worker, _quarter_split,
-                     check_tol, conditional_matrix)
+                     _spare_cpus, check_tol, conditional_matrix)
 
 #: numpy releases the GIL for an SVD only when its shorter side passes this,
-#: so only then do the SVDs of Q and Qc run side by side, Q's on a second
-#: thread placed off this one's CPU (CHANGES.md has the measurements).
+#: so only then, given a spare CPU, do the SVDs of Q and Qc run side by side,
+#: Q's on a second thread placed there (CHANGES.md has the measurements).
 _GIL_FREE_SIDE = 500
 
 #: Held while OpenBLAS is pinned, so two spectra built at once on different
@@ -211,18 +211,18 @@ def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of ``Q`` and ``Qc``, with numpy's OpenBLAS held to
     one thread for the pair and then set back.
 
-    When Q's shorter side passes ``_GIL_FREE_SIDE``, Q's SVD runs on a
-    second thread, placed by :func:`~depscale.joints._place_worker`, while
-    Qc's runs on this one, and a worker's error is raised here.  Otherwise,
-    or with no thread to be had, both run here.  When numpy carries no
-    OpenBLAS of its own, both run here at its own thread count.  One DEBUG
+    When Q's shorter side passes ``_GIL_FREE_SIDE`` and a spare CPU is found
+    by :func:`~depscale.joints._spare_cpus`, Q's SVD runs on a second thread
+    placed there while Qc's runs on this one, and a worker's error is raised
+    here.  Otherwise, or with no thread to be had, both run here: so too when
+    numpy carries no OpenBLAS of its own, at its thread count.  One DEBUG
     record names the path taken and the BLAS thread count.
     """
     blas = _openblas()
-    side_by_side = blas is not None and min(Q.shape) > _GIL_FREE_SIDE
+    cpus = _spare_cpus() if blas and min(Q.shape) > _GIL_FREE_SIDE else set()
     log = _debug_logger()
     if log is not None:
-        how = "side by side" if side_by_side else "one after the other"
+        how = "side by side" if cpus else "one after the other"
         log.debug("spectrum of %d x %d cells: SVDs %s, BLAS threads %s",
                   *Q.shape, how, 1 if blas else "unknown")
     if blas is None:
@@ -241,14 +241,14 @@ def _svd_pair(Q: np.ndarray, Qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         threads = get_threads()
         set_threads(1)
         try:
-            if side_by_side:
+            if cpus:
                 worker = threading.Thread(target=svd_q, name="depscale-svd")
                 try:
                     worker.start()
                 except RuntimeError:  # no thread to be had
                     worker = None
                 else:
-                    _place_worker(worker.native_id)
+                    _place_worker(worker.native_id, cpus)
             if worker is None:
                 svd_q()
             values_qc = _svd_values(Qc)

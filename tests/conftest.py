@@ -1,5 +1,5 @@
-"""Shared generators for random test instances, and guards on child
-processes and threads.
+"""Shared generators for random test instances, the one helper that runs
+code in a child interpreter, and guards on child processes and threads.
 
 Everything here is deterministic given the caller's Generator, so tests can
 freeze seeds and stay reproducible.
@@ -8,12 +8,65 @@ freeze seeds and stay reproducible.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depscale
 from depscale import DiscreteJoint, make_finite_rank_joint, make_joint
+
+SRC = str(Path(depscale.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
+
+
+def child_env():
+    """This environment with the package importable and stdout buffered as
+    by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def output_of(code, **env):
+    """The stdout of ``code`` in a fresh interpreter whose environment sets
+    ``OPENBLAS_NUM_THREADS`` only as ``env`` does.  At one OpenBLAS thread
+    the child has one OS thread, the only kind of process that may fork."""
+    base = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def os_threads():
+    """The OS threads of this process, from the ``Threads:`` line of Linux's
+    ``/proc/self/status``; None without it."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+    except (OSError, StopIteration):
+        return None
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_fork_with_threads():
+    """Fail any ``os.fork`` from a process of more than one OS thread, whose
+    child could hang on a lock another thread held: the check Python 3.12
+    makes with a DeprecationWarning, made here on every Python."""
+    fork = os.fork
+
+    def guarded():
+        threads = os_threads()
+        assert threads in (None, 1), f"os.fork in a process of {threads} OS threads"
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", guarded)
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -67,6 +67,10 @@ def cases() -> list[list[str]]:
         # Rank 1 on 3 x 3: sigma_2 is rounding residue (2.7e-17), zero at tol 0.
         ["compute", "rank_deficient.csv", "--tol", "0"],
         ["transforms", "rank_deficient.csv", "-k", "2", "--tol", "0"],
+        # Orders past the alphabet: D ends at its first structural zero, d = 0.
+        ["compute", "fixture.csv", "--max-order", "1000000"],
+        ["oracle", "fixture.csv", "-m", "100000000000"],
+        ["estimate", "smoke_samples.csv", "--x", "x", "--y", "y1", "--max-order", "1000000"],
         # Errors: exit 2, then exit 3.
         ["gaussian", "block.csv", "--dim-x", "2", "--lambdas", "0", "1"],
         ["gaussian", "block.csv", "--dim-x", "3"],

@@ -27,7 +27,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import hadamard_joint, random_finite_rank, random_independent, random_joint
+from conftest import (SRC, child_env, hadamard_joint, output_of, random_finite_rank,
+                      random_independent, random_joint)
 from depscale import dependence_scale, make_joint, singular_spectrum
 from depscale import cli, spectral
 from depscale.cli import main
@@ -952,7 +953,7 @@ class TestArguments:
     @pytest.mark.parametrize(
         "command, library_call, option",
         [("oracle", "gram_det_oracle", "--restarts"),
-         ("compute", "singular_spectrum", "--max-order")],
+         ("estimate", "empirical_joint_grouped", "--bins")],
     )
     def test_an_argument_too_large_to_allocate_is_an_invalid_argument(
         self, capsys, tmp_path, monkeypatch, command, library_call, option
@@ -966,29 +967,45 @@ class TestArguments:
 
         monkeypatch.setattr(cli, library_call, too_large)
         path = write(tmp_path, "j.csv", FIXTURE_CSV)
-        code, out, err = run_cli(capsys, command, path, option, "100000000000")
+        columns = ["--x", "0", "--y", "1"] if command == "estimate" else []
+        code, out, err = run_cli(capsys, command, path, *columns, option, "100000000000")
         assert code == 2 and out == ""
         assert json.loads(err) == {"schema": "v1", "error": "InvalidArgument", "message": message}
 
-    def test_a_huge_k_prints_the_pairs_that_exist(self, tmp_path):
-        # A 2 x 2 joint has |X| - 1 = 1 pair whatever -k asks.  The
-        # address-space limit and the timeout keep a regression that pads
-        # the report with filler pairs from filling memory.  The limit is set
-        # in the child itself: a fork that runs Python code before exec
-        # (preexec_fn) is unsafe in this threaded process.
-        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+    @staticmethod
+    def run_limited(*argv):
+        """The CLI on ``argv`` in a child of 1 GiB of address space.  The
+        limit and the timeout keep a regression that pads a report from
+        filling memory.  The limit is set in the child itself: a fork that
+        runs Python code before exec (preexec_fn) is unsafe in this threaded
+        process."""
         limited_cli = (
             "import resource, runpy\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "runpy.run_module('depscale.cli', run_name='__main__', alter_sys=True)"
         )
+        proc = subprocess.run([sys.executable, "-c", limited_cli, *argv], env=child_env(),
+                              capture_output=True, text=True, timeout=15)
+        assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+        return proc.stdout
+
+    def test_a_huge_k_prints_the_pairs_that_exist(self, tmp_path):
+        # A 2 x 2 joint has |X| - 1 = 1 pair whatever -k asks.
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
         for k in ("100000000000", "100000000000000000000"):
-            proc = subprocess.run(
-                [sys.executable, "-c", limited_cli, "transforms", path, "-k", k],
-                env=child_env(), capture_output=True, text=True, timeout=15,
-            )
-            assert proc.returncode == 0 and proc.stderr == "", (k, proc.stderr)
-            assert len(json.loads(proc.stdout)["pairs"]) == 1
+            out = self.run_limited("transforms", path, "-k", k)
+            assert len(json.loads(out)["pairs"]) == 1
+
+    def test_a_huge_order_reads_d_up_to_its_first_zero(self, tmp_path):
+        # A 2 x 2 joint has one singular value, so d[1] = 0 is D's last entry
+        # and every d[m] past it is 0.
+        path = write(tmp_path, "j.csv", FIXTURE_CSV)
+        out = self.run_limited("compute", path, "--max-order", "1000000")
+        assert len(out) < 1024 and json.loads(out)["D"] == [0.36, 0.0]
+        out = self.run_limited("oracle", path, "-m", "100000000000")
+        assert len(out) < 1024
+        assert json.loads(out) == {"schema": "v1", "m": 100000000000, "oracle": 0.0,
+                                   "spectral": 0.0}
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -1001,16 +1018,6 @@ class TestArguments:
 
 # ---------------------------------------------------------------------------
 # the process: ``python -m depscale.cli`` and the console script
-
-SRC = str(Path(cli.__file__).resolve().parents[1])
-
-
-def child_env():
-    """This environment with the package importable and stdout buffered as
-    by default."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def run_process(*argv, **kwargs):
@@ -1130,16 +1137,6 @@ class TestProcessEntry:
                     and ast.unparse(node.test) == "__name__ == '__main__'"]
         (called,) = [node.func.id for node in ast.walk(guard) if isinstance(node, ast.Call)]
         assert getattr(importlib.import_module(module), attr) is getattr(cli, called)
-
-
-def output_of(code, **env):
-    """The stdout of ``code`` in a fresh interpreter whose environment sets
-    ``OPENBLAS_NUM_THREADS`` only as ``env`` does."""
-    base = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def loaded_after(code):

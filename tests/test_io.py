@@ -1,19 +1,24 @@
 """CSV loaders for joint tables, covariance blocks, and sample columns."""
 
+import ast
 import codecs
 import csv
 import logging
 import os
 import re
+import tempfile
+import threading
 from io import TextIOWrapper
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import depscale.io
+from conftest import TESTS, os_threads, output_of
 from depscale import (
     DepscaleError,
     FormatError,
@@ -256,17 +261,35 @@ def _outcome(load, *args):
     return result.v11.tobytes(), result.v12.tobytes(), result.v22.tobytes()
 
 
-def _path_taken(caplog, load, *args):
-    """``load``'s outcome and the parse path its DEBUG record names (None
-    when the load failed before any record)."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="depscale"):
-        outcome = _outcome(load, *args)
-    how = [re.match(r"read .*: (.*), \d+ x \d+ cells", r.getMessage())[1]
-           for r in caplog.records]
-    caplog.clear()
+def _debug_messages(call, *args):
+    """What ``call(*args)`` returns, and the messages of the DEBUG records it
+    writes on the ``depscale`` logger; in pytest or out of it."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger("depscale")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        return call(*args), messages
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _how(messages):
+    """The parse path a load's DEBUG record names, or None when the load
+    failed before any record."""
+    how = [re.match(r"read .*: (.*), \d+ x \d+ cells", m)[1] for m in messages]
     assert len(how) <= 1
-    return outcome, (how or [None])[0]
+    return (how or [None])[0]
+
+
+def _path_taken(load, *args):
+    """``load``'s outcome and the parse path its DEBUG record names."""
+    outcome, messages = _debug_messages(_outcome, load, *args)
+    return outcome, _how(messages)
 
 
 _FORMATS = {"repr": repr, "%.6f": "%.6f".__mod__, "%.25e": "%.25e".__mod__}
@@ -290,19 +313,18 @@ _GRIDS = dict(
 )
 
 
-def _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline, bom, gaps):
-    """All three loaders give the per-cell path's bytes, or its error; the
-    grid pass takes the file unless a whitespace-only line follows its first
-    data row."""
+def _assert_bit_identical(path, grid, fmt, header, newline, bom, gaps):
+    """All three loaders give the per-cell path's bytes, or its error, for
+    the grid written to ``path``; the grid pass takes the file unless a
+    whitespace-only line follows its first data row.  The path taken."""
     lines = [",".join(map(_FORMATS[fmt], row)) for row in grid]
     if header:
         lines.insert(0, ",".join(f"c{i}" for i in range(len(grid[0]))))
     gaps = sorted(((min(at, len(lines) - 1), gap) for at, gap in gaps), reverse=True)
     for at, gap in gaps:
         lines.insert(at, gap)
-    path = tmp_path_factory.mktemp("grid") / "g.csv"
     path.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode())
-    got, how = _path_taken(caplog, load_samples_csv, path)
+    got, how = _path_taken(load_samples_csv, path)
     first_row = int(header)  # its index in lines
     if any(gap and at > first_row for at, gap in gaps):
         assert how == "per cell"
@@ -319,39 +341,89 @@ def _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline, 
             assert str(got.value) == str(exc)
         else:
             assert _outcome(load, *args) == want
+    return how
 
 
 def _force_split(mp):
-    """Split every body with a row on each side of its middle, on any host."""
+    """Split every body with a row on each side of its middle, on any host
+    whose process has one OS thread: this thread runs on CPU 1 of the two
+    usable CPUs 0 and 1, so the parse child goes to CPU 0."""
     mp.setattr(depscale.io, "_SPLIT_BYTES", 0)
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stat_field = depscale.joints._stat_field
+    mp.setattr(depscale.joints, "_stat_field",
+               lambda path, field: 1 if field == 39 else stat_field(path, field))
 
 
-# caplog is cleared around every load, so one instance serves all examples.
-_REUSE_CAPLOG = settings(
-    max_examples=60, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+def _in_child(call):
+    """The value of ``call``, an expression over this module, evaluated in a
+    fresh interpreter at one OpenBLAS thread: a process of one OS thread,
+    the only kind that forks to parse.  The value must be a literal."""
+    code = (f"import sys\nsys.path.insert(0, {TESTS!r})\n"
+            f"import test_io\nprint(repr(test_io.{call}))")
+    return ast.literal_eval(output_of(code, OPENBLAS_NUM_THREADS="1").splitlines()[-1])
+
+
+def _split_loads(loads):
+    """For each (loader name, path, fork refused) of ``loads``, with every
+    body split (:func:`_force_split`): the outcome, the DEBUG messages, the
+    pid of each fork asked for (None if refused) and the placements asked
+    for.  Run by :func:`_in_child`."""
+    results = []
+    for name, path, refused in loads:
+        forks, asked = [], []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)  # a fork asked for
+            if refused:
+                raise OSError("fork refused")
+            forks[-1] = fork()  # the child's pid, as this process sees it
+            return forks[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            _force_split(mp)
+            mp.setattr(os, "fork", counted)
+            mp.setattr(os, "sched_setaffinity",
+                       lambda pid, cpus: asked.append((pid, sorted(cpus))), raising=False)
+            outcome, messages = _debug_messages(_outcome, getattr(depscale.io, name), path)
+        results.append((outcome, messages, forks, asked))
+    return results
+
+
+_GRID_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _split_grid_paths():
+    """The parse paths of ``_assert_bit_identical`` over generated grids with
+    every body split; run by :func:`_in_child`."""
+    paths = set()
+
+    @_GRID_SETTINGS
+    @given(**_GRIDS)
+    def split_grids(grid, fmt, header, newline, bom, gaps):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            _force_split(mp)
+            paths.add(_assert_bit_identical(Path(tmp) / "g.csv", grid, fmt, header,
+                                            newline, bom, gaps))
+
+    split_grids()
+    return sorted(paths, key=str)
 
 
 class TestOnePassParse:
     """The one-pass numeric parse gives exactly what the per-cell path gives."""
 
-    @_REUSE_CAPLOG
+    @_GRID_SETTINGS
     @given(**_GRIDS)
-    def test_numeric_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
+    def test_numeric_grids_are_bit_identical(self, tmp_path_factory, grid, fmt,
                                              header, newline, bom, gaps):
-        _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline, bom, gaps)
+        path = tmp_path_factory.mktemp("grid") / "g.csv"
+        _assert_bit_identical(path, grid, fmt, header, newline, bom, gaps)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
-    @_REUSE_CAPLOG
-    @given(**_GRIDS)
-    def test_split_grids_are_bit_identical(self, tmp_path_factory, caplog, grid, fmt,
-                                           header, newline, bom, gaps):
-        with pytest.MonkeyPatch.context() as mp:
-            _force_split(mp)
-            _assert_bit_identical(tmp_path_factory, caplog, grid, fmt, header, newline,
-                                  bom, gaps)
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="the split reads /proc")
+    def test_split_grids_are_bit_identical(self):
+        assert "two processes" in _in_child("_split_grid_paths()")
 
     # Each body holds a spelling numpy rejects or a shape it cannot take in
     # one pass; the loader must give what the per-cell path gives.
@@ -367,10 +439,10 @@ class TestOnePassParse:
     }
 
     @pytest.mark.parametrize("name", sorted(FALLBACKS))
-    def test_fallback_spellings(self, tmp_path, caplog, name):
+    def test_fallback_spellings(self, tmp_path, name):
         text, first_column = self.FALLBACKS[name]
         path = write(tmp_path, "s.csv", text)
-        got, how = _path_taken(caplog, load_samples_csv, path)
+        got, how = _path_taken(load_samples_csv, path)
         assert how == "per cell"
         assert got == _outcome(_per_cell, load_samples_csv, path)
         assert load_samples_csv(path)[1][0].tolist() == first_column
@@ -402,23 +474,10 @@ class TestOnePassParse:
             load_covariance_csv(path, 1)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="the split reads /proc")
 class TestTwoProcessParse:
-    """A body split across a forked child gives the per-cell path's outcome."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Force the split and count the forks."""
-        _force_split(monkeypatch)
-        calls = []
-        fork = os.fork
-
-        def counted():
-            calls.append(fork())  # the child's pid, as this process sees it
-            return calls[-1]
-
-        monkeypatch.setattr(os, "fork", counted)
-        return calls
+    """A body split across a forked child gives the per-cell path's outcome.
+    Every split load runs in one child of one OS thread (:func:`_in_child`)."""
 
     ROWS = "".join(f"{i / 1e3!r},{(7 * i) % 10}\n" for i in range(40))
 
@@ -437,19 +496,33 @@ class TestTwoProcessParse:
         "trailing blank lines": ("x,y\n1,2\n3,4\n" + "\n" * 40 + "\r\n" * 40, "one pass", 0),
     }
 
+    @pytest.fixture(scope="class")
+    def split(self, tmp_path_factory):
+        """Case name: (path, outcome, parse path, forks, placements asked
+        for), with every body split; besides CASES, a joint with a bad cell
+        and a load whose fork is refused."""
+        loads = {name: ("load_samples_csv", text, False)
+                 for name, (text, _, _) in self.CASES.items()}
+        loads["joint with a bad cell"] = ("load_joint_csv", self.ROWS + "0.5,oops\n", False)
+        loads["fork refused"] = ("load_samples_csv", "x,y\n" + self.ROWS, True)
+        tmp, paths = tmp_path_factory.mktemp("split"), {}
+        for i, (name, (_, text, _)) in enumerate(loads.items()):
+            paths[name] = tmp / f"{i}.csv"
+            paths[name].write_bytes(text.encode())
+        args = [(load, str(paths[name]), refused) for name, (load, _, refused) in loads.items()]
+        results = _in_child(f"_split_loads({args!r})")
+        return {name: (paths[name], got, _how(messages), forks, asked)
+                for name, (got, messages, forks, asked) in zip(loads, results)}
+
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_outcome_matches_the_per_cell_path(self, tmp_path, caplog, forks, name):
-        text, path_taken, n_forks = self.CASES[name]
-        path = tmp_path / "s.csv"
-        path.write_bytes(text.encode())
-        got, how = _path_taken(caplog, load_samples_csv, path)
+    def test_outcome_matches_the_per_cell_path(self, split, name):
+        _, path_taken, n_forks = self.CASES[name]
+        path, got, how, forks, _ = split[name]
         assert (how, len(forks)) == (path_taken, n_forks)
         assert got == _outcome(_per_cell, load_samples_csv, path)
 
-    def test_bad_cell_keeps_the_joint_error(self, tmp_path, caplog, forks):
-        path = tmp_path / "j.csv"
-        path.write_text(self.ROWS + "0.5,oops\n")
-        got, how = _path_taken(caplog, load_joint_csv, path)
+    def test_bad_cell_keeps_the_joint_error(self, split):
+        path, got, how, forks, _ = split["joint with a bad cell"]
         assert (how, len(forks)) == ("per cell", 1)
         assert got == (
             "FormatError",
@@ -457,38 +530,67 @@ class TestTwoProcessParse:
             "(could not convert string to float: 'oops')",
         )
 
-    def test_child_leaves_the_parent_cpu(self, tmp_path, caplog, forks, monkeypatch):
+    def test_child_leaves_the_parent_cpu(self, split):
         """The parent asks, for its child's pid, every usable CPU but its own."""
-        asked = []
-        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 1)
-        monkeypatch.setattr(os, "sched_setaffinity",
-                            lambda pid, cpus: asked.append((pid, sorted(cpus))),
-                            raising=False)
-        path = tmp_path / "s.csv"
-        path.write_text("x,y\n" + self.ROWS)
-        got, how = _path_taken(caplog, load_samples_csv, path)
+        _, _, how, forks, asked = split["header and rows"]
         assert (how, len(forks)) == ("two processes", 1)
         assert asked == [(forks[0], [0])]
-        assert got == _outcome(_per_cell, load_samples_csv, path)
 
     @pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"),
                         reason="reads Linux's /proc")
     def test_current_cpu_is_a_usable_cpu(self):
         """The placement rule's CPU read names a CPU this thread may run on."""
-        assert depscale.joints._current_cpu() in os.sched_getaffinity(0)
+        assert depscale.joints._stat_field("/proc/thread-self/stat", 39) in os.sched_getaffinity(0)
 
-    def test_failed_fork_parses_in_one_pass(self, tmp_path, caplog, monkeypatch):
-        _force_split(monkeypatch)
-
-        def no_fork():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        path = tmp_path / "s.csv"
-        path.write_text("x,y\n" + self.ROWS)
-        got, how = _path_taken(caplog, load_samples_csv, path)
-        assert how == "one pass"
+    def test_failed_fork_parses_in_one_pass(self, split):
+        path, got, how, forks, _ = split["fork refused"]
+        assert (how, forks) == ("one pass", [None])
         assert got == _outcome(_per_cell, load_samples_csv, path)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="the rule reads /proc")
+class TestForkRule:
+    """The parse forks only from a process of one OS thread."""
+
+    ROWS = TestTwoProcessParse.ROWS
+
+    def test_a_threaded_process_parses_in_one_pass(self, tmp_path, monkeypatch):
+        # pytest's process holds OpenBLAS's threads, on a host of two CPUs.
+        if os_threads() == 1:
+            pytest.skip("this process has one OS thread")
+        _force_split(monkeypatch)
+        forks = []
+
+        def recorded():
+            forks.append(None)
+            raise OSError("no fork was to be asked for")
+
+        monkeypatch.setattr(os, "fork", recorded)
+        path = write(tmp_path, "s.csv", "x,y\n" + self.ROWS)
+        got, how = _path_taken(load_samples_csv, path)
+        assert (how, forks) == ("one pass", [])
+        assert got == _outcome(_per_cell, load_samples_csv, path)
+
+    def test_a_thread_started_in_a_one_thread_child_stops_the_split(self, tmp_path):
+        path = write(tmp_path, "s.csv", "x,y\n" + self.ROWS)
+        paths = _in_child(f"_paths_before_and_with_a_thread({str(path)!r})")
+        assert paths == ["two processes", "one pass"]
+
+
+def _paths_before_and_with_a_thread(path):
+    """The parse paths of a split load, then of one while another thread
+    runs; run by :func:`_in_child`."""
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp)
+        before = _path_taken(load_samples_csv, path)[1]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            return [before, _path_taken(load_samples_csv, path)[1]]
+        finally:
+            stop.set()
+            thread.join(60)
 
 
 class TestLineEnds:
@@ -504,12 +606,12 @@ class TestLineEnds:
         ],
         ids=["joint-header", "joint-bom-blank-line", "samples", "samples-categorical"],
     )
-    def test_same_outcome_and_path(self, tmp_path, caplog, load, text, how):
+    def test_same_outcome_and_path(self, tmp_path, load, text, how):
         outcomes = []
         for newline in ("\n", "\r\n", "\r"):
             path = tmp_path / "t.csv"
             path.write_bytes(text.replace("\n", newline).encode())
-            got, taken = _path_taken(caplog, load, path)
+            got, taken = _path_taken(load, path)
             assert taken == how, repr(newline)
             outcomes.append(got)
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -533,14 +635,12 @@ class TestReadLog:
         assert record.name == "depscale" and record.levelno == logging.DEBUG
         assert record.getMessage() == f"read {path}: {how}, {cells} cells, {len(text)} bytes"
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
-    def test_two_processes(self, tmp_path, caplog, monkeypatch):
-        _force_split(monkeypatch)
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="the split reads /proc")
+    def test_two_processes(self, tmp_path):
         path = write(tmp_path, "j.csv", "0.4,0.1\n0.1,0.4\n")
-        with caplog.at_level(logging.DEBUG, logger="depscale"):
-            load_joint_csv(path)
-        (record,) = caplog.records
-        assert record.getMessage() == f"read {path}: two processes, 2 x 2 cells, 16 bytes"
+        loads = [("load_joint_csv", str(path), False)]
+        ((_, messages, _, _),) = _in_child(f"_split_loads({loads!r})")
+        assert messages == [f"read {path}: two processes, 2 x 2 cells, 16 bytes"]
 
     def test_silent_by_default(self, tmp_path, caplog):
         load_samples_csv(write(tmp_path, "s.csv", "x,y\n1,2\n3,4\n"))
@@ -761,7 +861,7 @@ class TestPerCellAtScale:
     """The per-cell path on a labelled file of about 20,000 rows gives the
     reference's names, dtypes, float bytes and object cells."""
 
-    def test_labelled_file_matches_the_reference(self, tmp_path, caplog):
+    def test_labelled_file_matches_the_reference(self, tmp_path):
         pads = ["", "\x1c", "\xa0", " \x1c", "\xa0\t"]
         blanks = ["", "  ", "\t", ",,,", " , ,\xa0,"]
         lines = ["n,label,padded"]
@@ -774,7 +874,7 @@ class TestPerCellAtScale:
             lines.append(f'{v!r},"{label}",{padded}')
         path = tmp_path / "labelled.csv"
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        got, how = _path_taken(caplog, load_samples_csv, path)
+        got, how = _path_taken(load_samples_csv, path)
         assert how == "per cell"
         f8 = np.dtype(float).str
         assert [dtype for dtype, _ in got[1]] == [f8, "|O", f8]

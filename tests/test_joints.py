@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_joint
+from conftest import os_threads, random_joint
 from depscale import (
     DiscreteJoint,
     FunctionTable,
@@ -28,7 +28,7 @@ from depscale import (
     make_joint,
 )
 import depscale.joints
-from depscale.joints import _place_worker, _sample_columns
+from depscale.joints import _place_worker, _sample_columns, _spare_cpus
 
 
 class TestMakeJoint:
@@ -329,38 +329,52 @@ class TestSampleTable:
 
 
 class TestPlaceWorker:
-    """The one placement rule: a worker gets every usable CPU but its starter's."""
+    """The one rule of both parallel steps: a worker starts only with a spare
+    CPU and gets every usable CPU but its starter's; a fork, only from a
+    process of one OS thread."""
 
     @pytest.fixture
-    def asked(self, monkeypatch):
-        """The (worker, CPUs) of each placement asked for, on a faked host
-        with CPUs 0 to 3 whose starter runs on CPU 2."""
-        calls = []
-        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 2)
+    def host(self, monkeypatch):
+        """A faked host with CPUs 0 to 3, whose starter runs on CPU 2 in a
+        process of one OS thread, as ``/proc`` field: value; and the (worker,
+        CPUs) of each placement asked for."""
+        fields, calls = {39: 2, 20: 1}, []
+        monkeypatch.setattr(depscale.joints, "_stat_field", lambda path, field: fields[field])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity",
                             lambda pid, cpus: calls.append((pid, sorted(cpus))), raising=False)
-        return calls
+        return fields, calls
 
-    def test_every_cpu_but_the_starters(self, asked):
-        _place_worker(4242)
+    def test_every_cpu_but_the_starters(self, host):
+        _, asked = host
+        assert _spare_cpus() == _spare_cpus(fork=True) == {0, 1, 3}
+        _place_worker(4242, _spare_cpus())
         assert asked == [(4242, [0, 1, 3])]
 
-    def test_nothing_without_proc(self, monkeypatch, asked):
-        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: None)
-        _place_worker(4242)
-        assert asked == []
+    def test_nothing_without_proc(self, monkeypatch, host):
+        monkeypatch.setattr(depscale.joints, "_stat_field", lambda path, field: None)
+        assert _spare_cpus() == _spare_cpus(fork=True) == set()
 
-    def test_nothing_with_one_usable_cpu(self, monkeypatch, asked):
+    def test_nothing_with_one_usable_cpu(self, monkeypatch, host):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2}, raising=False)
-        _place_worker(4242)
-        assert asked == []
+        assert _spare_cpus() == _spare_cpus(fork=True) == set()
+
+    @pytest.mark.parametrize("threads", [2, None], ids=["two", "unknown"])
+    def test_no_fork_without_one_thread(self, host, threads):
+        fields, _ = host
+        fields[20] = threads
+        assert (_spare_cpus(), _spare_cpus(fork=True)) == ({0, 1, 3}, set())
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's /proc")
+    def test_the_thread_count_matches_proc_status(self):
+        threads = depscale.joints._stat_field("/proc/self/stat", 20)
+        assert threads == os_threads() >= 1
 
     @pytest.mark.parametrize("code", [errno.ESRCH, errno.EINVAL, errno.EPERM],
                              ids=["exited", "refused set", "not allowed"])
-    def test_a_refusal_leaves_the_worker_where_it_is(self, monkeypatch, asked, code):
+    def test_a_refusal_leaves_the_worker_where_it_is(self, monkeypatch, host, code):
         def refuse(pid, cpus):
             raise OSError(code, os.strerror(code))
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        _place_worker(4242)
+        _place_worker(4242, {0, 1, 3})

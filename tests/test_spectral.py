@@ -18,7 +18,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    TESTS,
     hadamard_joint,
+    output_of,
     pearson_under,
     random_finite_rank,
     random_independent,
@@ -364,7 +366,19 @@ def _big_joint():
 
 class TestSideBySide:
     """Every spectrum's two SVDs run with OpenBLAS held to one thread, and a
-    large table's run at once."""
+    large table's run at once when a CPU is spare."""
+
+    @pytest.fixture(autouse=True)
+    def spare_cpu(self, monkeypatch):
+        """CPU 0 spare on any host; the ``fork`` argument of each ask."""
+        calls = []
+
+        def spare(fork=False):
+            calls.append(fork)
+            return {0}
+
+        monkeypatch.setattr(spectral, "_spare_cpus", spare)
+        return calls
 
     @pytest.fixture
     def blas(self):
@@ -401,10 +415,10 @@ class TestSideBySide:
 
     @pytest.mark.parametrize("shape", [(512, 512), (501, 501), (500, 530)],
                              ids=["at", "first", "below"])
-    def test_the_worker_leaves_the_caller_cpu(self, monkeypatch, blas, shape):
-        """Once the shorter side passes 500 the caller asks, for the worker
-        thread's native id, every usable CPU but its own; at 500, however
-        many cells, no worker and no call."""
+    def test_the_worker_leaves_the_caller_cpu(self, monkeypatch, blas, spare_cpu, shape):
+        """Once the shorter side passes 500 the caller asks the rule once for
+        the spare CPUs and gives them to the worker thread's native id; at
+        500, however many cells, no ask, no worker and no placement."""
         svd_values, workers, asked = spectral._svd_values, [], []
 
         def recorded(a):
@@ -413,15 +427,28 @@ class TestSideBySide:
             return svd_values(a)
 
         monkeypatch.setattr(spectral, "_svd_values", recorded)
-        monkeypatch.setattr(depscale.joints, "_current_cpu", lambda: 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity",
                             lambda pid, cpus: asked.append((pid, sorted(cpus))), raising=False)
         singular_spectrum(random_joint(np.random.default_rng(7), *shape))
         if min(shape) > spectral._GIL_FREE_SIDE:
-            assert len(workers) == 1 and asked == [(workers[0], [0, 2])]
+            assert spare_cpu == [False] and len(workers) == 1 and asked == [(workers[0], [0])]
         else:
-            assert workers == [] and asked == []
+            assert spare_cpu == [] and workers == [] and asked == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"), reason="reads /proc")
+    def test_one_usable_cpu_runs_them_one_after_the_other(self):
+        # The child pins itself: a fork that runs Python code before exec
+        # (preexec_fn) is unsafe in this threaded process.
+        code = (
+            "import logging, os, sys\n"
+            f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+            f"sys.path.insert(0, {TESTS!r})\n"
+            "import test_spectral\n"
+            "logging.basicConfig(level=logging.DEBUG, format='%(message)s', stream=sys.stdout)\n"
+            "test_spectral.singular_spectrum(test_spectral._big_joint())\n"
+        )
+        assert output_of(code).splitlines() == [
+            "spectrum of 512 x 520 cells: SVDs one after the other, BLAS threads 1"]
 
     @pytest.mark.parametrize(
         "side, joint",
