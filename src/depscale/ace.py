@@ -99,7 +99,8 @@ def ace_subspace(
     individually extremal and descending, and stops once every leading pair
     that is not degenerate has residual ||E{psi_i|X} - rho_i phi_i|| at most
     max(``tol``, ROUNDOFF rho_1 / rho_i) (``tol`` finite and >= 0; below
-    ROUNDOFF, 64 machine epsilons, tol = 0 included, it is raised to that).
+    ROUNDOFF, 64 machine epsilons, tol = 0 included, it is raised to that),
+    and a narrow block has resolved each pair within 4x of that cut.
     Returns min(k, max(n_x - 1, 1)) pairs, as only n_x - 1 mean-zero
     functions of X exist; those with rho at most that tol (beyond the rank)
     are degenerate, rho = 0.  ``max_iter`` (the sweep budget) must be >= 1.
@@ -141,7 +142,13 @@ def ace_subspace(
         lead = rho2[:k]
         res = np.sqrt(((back[:, :k] - F[:, :k] * lead) ** 2).T @ p_x)
         live = np.sqrt(lead) > cut
-        if np.all(res[live] <= np.maximum(cut * np.sqrt(lead[live]), ROUNDOFF * trace[-1])):
+        # A narrow block resolves pair i at (theta_{b+1}/theta_i)^sweeps, theta = rho^2;
+        # theta_b stands in for theta_{b+1} only once the block has converged.  Near the
+        # cut, hold the stop until that is 1e-3, bar a tie (a ratio within 1e-3 of 1).
+        near = (b < directions) & (cut / 4 < np.sqrt(lead)) & (np.sqrt(lead) / 4 < cut)
+        ratio = np.divide(rho2[-1], lead, out=np.ones(k), where=near)
+        if not np.any((ratio < 1 - 1e-3) & (ratio**sweeps > 1e-3)) and np.all(
+                res[live] <= np.maximum(cut * np.sqrt(lead[live]), ROUNDOFF * trace[-1])):
             converged = True
             break
         F = _orthonormal_frame(back, p_x)

@@ -66,6 +66,7 @@ singular_spectrum = _deferred("spectral", "singular_spectrum")
 check_completeness = _deferred("structure", "check_completeness")
 
 SCHEMA = "v1"
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")  # -1e-3, a value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
     except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError, OverflowError: --restarts or --bins too large to allocate for.
+        # MemoryError, OverflowError: --restarts, or uniform-width --bins, too large.
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:
@@ -90,9 +91,8 @@ class _Parser(argparse.ArgumentParser):
     """A usage error is a ``ValueError`` (``main`` prints ``InvalidArgument``,
     exit 2; ``--help`` is unchanged), and ``-1e-3`` is a number, not an option."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    def _parse_optional(self, arg_string: str) -> Any:
+        return None if _NEGATIVE_NUMBER.match(arg_string) else super()._parse_optional(arg_string)
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(f"{self.prog}: {message}")

@@ -115,6 +115,7 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
     with np.errstate(over="raise", invalid="raise"):
         if strategy == "quantile":
             # np.quantile(col, k / bins, method="midpoint") by numpy's arithmetic.
+            bins = min(bins, col.size)  # from n bins on, one bin per distinct value
             s = np.sort(col)
             v = (s.size - 1) * (np.arange(1, bins) / bins)
             lo = np.floor(v).astype(np.intp)
@@ -130,13 +131,11 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
         codes = np.zeros(col.shape, np.uint8)
         for edge in edges:
             codes += col >= edge
-    occupied = np.flatnonzero(np.bincount(codes, minlength=bins))
-    if occupied.size < 2:
+    codes = _dense(codes)
+    if codes.max() < 1:
         # Degenerate edges: the column is constant or collapses under ties.
         return bin_column(values, bins, "categorical")
-    remap = np.full(bins, -1)
-    remap[occupied] = np.arange(occupied.size)
-    return remap[codes]
+    return codes
 
 
 def empirical_joint(sample: SampleTable, spec: BinningSpec) -> DiscreteJoint:
@@ -179,22 +178,23 @@ def empirical_joint_grouped(
 
 
 def _product_codes(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense codes of the observed tuples of several binned columns.
-
-    Tuples are numbered in lexicographic order, first column most
-    significant (the order of ``np.unique(axis=0)``).  The code is
-    re-densified after each column, so it stays below the sample count and
-    no array is sized by the product of the alphabets: ``np.bincount``
-    renumbers a combined code below the sample count, ``np.unique`` others.
+    """Dense codes of the observed tuples of several binned columns, numbered
+    in lexicographic order, first column most significant (the order of
+    ``np.unique(axis=0)``).  Densified after each column, the code stays
+    below the sample count: no array is sized by the product of the alphabets.
     """
     code = parts[0]
     for col in parts[1:]:
-        code = code * (int(col.max()) + 1) + col
-        if int(code.max()) < code.size:
-            code = (np.cumsum(np.bincount(code) > 0) - 1)[code]
-        else:
-            code = np.unique(code, return_inverse=True)[1]
+        code = _dense(code * (int(col.max()) + 1) + col)
     return code
+
+
+def _dense(codes: np.ndarray) -> np.ndarray:
+    """Each code's rank among the distinct codes: by ``np.bincount`` while
+    every code is below the count of codes, else by ``np.unique``."""
+    if int(codes.max()) < codes.size:
+        return (np.cumsum(np.bincount(codes) > 0) - 1)[codes]
+    return np.unique(codes, return_inverse=True)[1]
 
 
 def profile_of_joint(joint: DiscreteJoint, n: int) -> ProfileEstimate:

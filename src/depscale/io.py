@@ -163,19 +163,21 @@ def _parse_body(data: bytes, start: int) -> tuple[np.ndarray, str]:
     the bytes ``[start, mid)`` while this process parses the rest, and sends
     its shape and float64 bytes down a pipe.  Both halves go through the same
     parser, so the values are those of one pass.  A failed child (an error, a
-    short read, a nonzero exit) raises ValueError; a failed fork parses in one pass.
+    short read, a nonzero exit) raises ValueError; a failed pipe or fork parses in one pass.
     """
     mid = _split_point(data, start)
     cpus = set() if mid is None else _spare_cpus(fork=True)
     if not cpus:
         return _loadtxt(data, start), "one pass"
-    r, w = os.pipe()
+    pipe: list[int] = []
     try:
+        pipe += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in pipe:
+            os.close(fd)
         return _loadtxt(data, start), "one pass"
+    r, w = pipe
     if pid == 0:  # the child only parses and sends; it never returns
         code = 1
         try:

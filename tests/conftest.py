@@ -161,9 +161,12 @@ def random_finite_rank(
     return make_finite_rank_joint(p_x, components, p_y)
 
 
-def hadamard_joint(rng: np.random.Generator, n: int, top: np.ndarray) -> DiscreteJoint:
+def hadamard_joint(
+    rng: np.random.Generator, n: int, top: np.ndarray, tail: np.ndarray | None = None
+) -> DiscreteJoint:
     """An n x n joint (n a power of 2) with uniform marginals and normalized
-    spectrum ``top`` followed by a geometric tail from 4e-4 down to 1e-6.
+    spectrum ``top`` followed by ``tail``, by default a geometric tail from
+    4e-4 down to 1e-6, of n - 1 values in all.
 
     The singular vectors are randomly chosen and permuted columns of a
     Sylvester-Hadamard matrix, so they are +-1 tables orthogonal to the
@@ -173,7 +176,9 @@ def hadamard_joint(rng: np.random.Generator, n: int, top: np.ndarray) -> Discret
     h = np.ones((1, 1))
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    sigma = np.concatenate([top, np.geomspace(4e-4, 1e-6, n - 1 - top.size)])
+    if tail is None:
+        tail = np.geomspace(4e-4, 1e-6, n - 1 - top.size)
+    sigma = np.concatenate([top, tail])
     f = h[rng.permutation(n)][:, 1 + rng.permutation(n - 1)]
     g = h[rng.permutation(n)][:, 1 + rng.permutation(n - 1)]
     return make_joint((1.0 + (f * sigma) @ g.T) / (n * n))

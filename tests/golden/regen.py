@@ -71,6 +71,8 @@ def cases() -> list[list[str]]:
         ["compute", "fixture.csv", "--max-order", "1000000"],
         ["oracle", "fixture.csv", "-m", "100000000000"],
         ["estimate", "smoke_samples.csv", "--x", "x", "--y", "y1", "--max-order", "1000000"],
+        # A bin count past the row count: quantile bins stop at n, here 2.
+        ["estimate", "fixture.csv", "--x", "0", "--y", "1", "--bins", "100000000000"],
         # Errors: exit 2, then exit 3.
         ["gaussian", "block.csv", "--dim-x", "2", "--lambdas", "0", "1"],
         ["gaussian", "block.csv", "--dim-x", "3"],

@@ -304,11 +304,14 @@ class TestZeroRule:
     ``max(tol * rho, ROUNDOFF * rho_1)``, which bounds the error of rho by
     about ``tol`` only, and a pair whose Ritz value sits under the cut is
     not held to it.  With the block as wide as the alphabet, values 1.01x
-    to 1.1x from the cut are read on their side; with a narrower block such
-    a value may be read on its other side (1.01e-8 as 0.988e-8 at ``tol``
-    1e-8 with k = 4 on a 32 x 32 table whose tail lies from 0.95 to 0.3 of
-    the cut, for one).  Both tests use the full block; the first places its
-    values at least a factor 2 from the cut, the second 1.01x to 1.1x.
+    to 1.1x from the cut are read on their side.  A narrower block could
+    read such a value on its other side while it was still mixed with the
+    values beyond the block (1.01e-8 as 0.988e-8 at ``tol`` 1e-8 with k = 4
+    on a 32 x 32 table whose tail lies from 0.95 to 0.3 of the cut, for
+    one), so a pair near the cut holds the stop until the block has
+    resolved it.  The first two tests use the full block; the first places
+    its values at least a factor 2 from the cut, the second 1.01x to 1.1x.
+    The third takes 40 such tables with k = 4, a block of 12 of 31.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -323,6 +326,30 @@ class TestZeroRule:
     @given(case=_at_the_cut(), n=st.sampled_from([4, 8]), seed=st.integers(0, 2**16))
     def test_values_just_off_the_cut_with_the_full_block(self, case, n, seed):
         self.assert_zero_rule(*case, n, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_just_off_the_cut_with_a_narrow_block(self, seed):
+        tol, n = 1e-10, 32
+        tail = np.geomspace(0.95, 0.3, n - 5) * tol
+        for factor in np.linspace(1.01, 1.1, 5):
+            for near in (tol * factor, tol / factor):
+                top = np.array([0.5, 0.3, 0.1, near])
+                j = hadamard_joint(np.random.default_rng(seed), n, top, tail)
+                order = singular_spectrum(j).order(tol)
+                assert order == 3 + (near > tol)
+                pairs = ace_subspace(j, 4, tol=tol)
+                assert [p.degenerate for p in pairs] == [False] * 3 + [near <= tol], near
+
+    @pytest.mark.parametrize("factor", [1.05, 1 / 1.05])
+    def test_a_value_tied_with_the_block_keeps_the_residual_stop(self, factor):
+        # Every value past the top three ties the near-cut one, so no count
+        # of sweeps separates them; the hold must not spend the sweep budget.
+        tol, n = 1e-10, 32
+        j = hadamard_joint(np.random.default_rng(0), n, np.array([0.5, 0.3, 0.1]),
+                           np.full(n - 4, tol * factor))
+        pairs = ace_subspace(j, 4, tol=tol, max_iter=100)
+        assert pairs[-1].converged and pairs[-1].n_iter < 10
+        assert pairs[-1].degenerate == (factor < 1)
 
     @staticmethod
     def assert_zero_rule(tol, top, n, seed):

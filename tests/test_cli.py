@@ -1007,6 +1007,29 @@ class TestArguments:
         assert json.loads(out) == {"schema": "v1", "m": 100000000000, "oracle": 0.0,
                                    "spectral": 0.0}
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_huge_bin_count_prints_the_report_of_the_row_count(self, tmp_path, fmt):
+        # Two rows: quantile bins stop at 2, one atom per distinct value.
+        path = write(tmp_path, "s.csv", FIXTURE_CSV)
+        argv = ["estimate", path, "--x", "0", "--y", "1", "--format", fmt, "--bins"]
+        assert self.run_limited(*argv, "100000000000") == self.run_limited(*argv, "2")
+
+    def test_a_negative_number_is_no_option_to_look_up(self, monkeypatch):
+        # Each parser reads a negative number as a value before it looks for
+        # an option the number could abbreviate.
+        looked_up = []
+        lookup = argparse.ArgumentParser._get_option_tuples
+
+        def recorded(parser, option_string):
+            looked_up.append(option_string)
+            return lookup(parser, option_string)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_get_option_tuples", recorded)
+        args = cli._build_parser().parse_args(
+            ["gaussian", "c.csv", "--dim-x", "1", "--lambdas", "-1e-3", "-2", "0.5"])
+        assert args.lambdas == [-1e-3, -2.0, 0.5]
+        assert [s for s in looked_up if s in ("-1e-3", "-2")] == []
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compute", "--help"])

@@ -85,6 +85,36 @@ class TestBinColumn:
             assert codes.min() == 0
             assert np.all(np.bincount(codes) > 0)
 
+    # Extreme, tiny, subnormal and signed-zero values, and values rounded to
+    # hundredths, drawn with repeats: tied columns.  No two distinct values
+    # are adjacent floats above the subnormals, where a midpoint edge can
+    # round onto the lower value and leave the pair in one bin.
+    EXTREME_OR_TIED = st.one_of(
+        st.sampled_from([-8e307, -1.5, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300,
+                         0.1, 1.0, 3.0, 8e307]),
+        st.floats(-1e6, 1e6).map(lambda v: round(v, 2)),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(EXTREME_OR_TIED, min_size=1, max_size=30), data=st.data())
+    def test_quantile_from_the_row_count_on_is_categorical(self, values, data):
+        # From n bins on an edge falls between every two distinct values.
+        col = np.array(values)
+        bins = data.draw(st.integers(max(col.size, 2), col.size**2 + 3), label="bins")
+        want = bin_column(col, 2, "categorical")
+        assert np.array_equal(bin_column(col, bins, "quantile"), want)
+
+
+class TestDense:
+    @settings(max_examples=150, deadline=None)
+    @given(codes=st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**62)), min_size=1,
+                          max_size=40),
+           dtype=st.sampled_from([np.int64, np.uint64]))
+    def test_ranks_among_the_distinct_codes(self, codes, dtype):
+        # Codes at or past the count of codes go by np.unique, the rest by np.bincount.
+        c = np.array(codes, dtype=dtype)
+        assert np.array_equal(depscale.estimate._dense(c), np.unique(c, return_inverse=True)[1])
+
 
 class TestEmpiricalJoint:
     def test_identical_columns_give_full_dependence(self):

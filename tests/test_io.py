@@ -3,6 +3,7 @@
 import ast
 import codecs
 import csv
+import errno
 import logging
 import os
 import re
@@ -546,6 +547,28 @@ class TestTwoProcessParse:
         path, got, how, forks, _ = split["fork refused"]
         assert (how, forks) == ("one pass", [None])
         assert got == _outcome(_per_cell, load_samples_csv, path)
+
+    def test_failed_pipe_parses_in_one_pass(self, tmp_path):
+        path = write(tmp_path, "s.csv", "x,y\n" + self.ROWS)
+        got, how, pipes = _in_child(f"_load_with_a_failed_pipe({str(path)!r})")
+        assert (how, pipes) == ("one pass", 1)
+        assert got == _outcome(_per_cell, load_samples_csv, path)
+
+
+def _load_with_a_failed_pipe(path):
+    """The outcome and parse path of a split load whose pipe is refused, as
+    when the process is out of file descriptors, and the pipes asked for;
+    run by :func:`_in_child`."""
+    pipes = []
+
+    def refused():
+        pipes.append(None)
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp)
+        mp.setattr(os, "pipe", refused)
+        return (*_path_taken(load_samples_csv, path), len(pipes))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="the rule reads /proc")
