@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
     except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError, OverflowError: --restarts, or uniform-width --bins, too large.
+        # MemoryError: --restarts too large; OverflowError: a --bins past 2**63 - 1.
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:

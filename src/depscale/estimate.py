@@ -7,18 +7,18 @@ are available per column:
 
 ``quantile``
     Equal-mass bins.  Interior edges are midpoint-interpolated order
-    statistics read off one sort of the column; the default everywhere is
-    8 x 8.
+    statistics read off one sort of the column, and from n bins on the
+    partition is categorical; the default everywhere is 8 x 8.
 ``uniform-width``
-    Equal-width bins spanning [min, max].
+    Equal-width bins spanning [min, max], at the edges of ``np.linspace``.
 ``categorical``
     One atom per distinct observed value; bin counts are ignored.
 
 Bins that receive no samples are dropped: the atom alphabet is exactly the
 nonempty bins, numbered in order, and an atom is its index (no interval or
-value labels are kept).  Numeric codes are found by comparison with the
-edges.  A column that quantile or uniform binning cannot split (constant,
-or collapsed by ties) falls back to categorical.
+value labels are kept).  A code counts the edges at or below its value;
+no array is sized by a bin count.  A column that quantile or uniform
+binning cannot split (constant, or collapsed by ties) is categorical.
 
 Plug-in estimates are biased upward for small samples; reports carry an
 explicit flag once n < 10 * |X| * |Y|.
@@ -100,11 +100,11 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
 
     Codes are dense in 0..k-1 with every atom occupied, so the alphabet size
     is ``codes.max() + 1``; empty bins are dropped and the occupied ones keep
-    their order.  Categorical codes number the distinct values in sorted
-    order.  A numeric column must be non-empty and finite, or
-    ``InvalidDistributionError`` is raised.  Numeric strategies fall back to
-    categorical when the edges collapse, and raise ``FloatingPointError``
-    when computing the edges overflows.
+    their order.  Categorical codes, and quantile codes from ``bins >= n``
+    on, number the distinct values in sorted order.  A numeric column must
+    be non-empty and finite, or ``InvalidDistributionError`` is raised.
+    Numeric strategies fall back to categorical when the edges collapse, and
+    raise ``FloatingPointError`` when computing the edges overflows.
     """
     if strategy == "categorical" or values.dtype == object:
         return np.unique(values.astype(str) if values.dtype == object else values,
@@ -112,25 +112,30 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
     col = values.astype(float, copy=False)
     if col.size == 0 or not np.all(np.isfinite(col)):
         raise InvalidDistributionError("a numeric column to bin must be non-empty and finite")
+    if strategy == "quantile" and bins >= col.size:  # an edge falls in every gap
+        return bin_column(values, bins, "categorical")
     with np.errstate(over="raise", invalid="raise"):
-        if strategy == "quantile":
-            # np.quantile(col, k / bins, method="midpoint") by numpy's arithmetic.
-            bins = min(bins, col.size)  # from n bins on, one bin per distinct value
+        if strategy == "uniform-width":
+            # Count np.linspace's inner edges at or below each value: bisect, in its arithmetic.
+            lo, delta = col.min(), col.max() - col.min()
+            step, codes = delta / bins, np.zeros(col.shape, np.int64)
+            for bit in [1 << b for b in reversed(range((bins - 1).bit_length()))]:
+                i = np.minimum(codes | bit, bins - 1)
+                codes = np.where((i * step if step else i / bins * delta) + lo <= col, i, codes)
+        elif strategy != "quantile":  # pragma: no cover - BinningSpec already screens it
+            raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
+        else:  # np.quantile(col, k / bins, method="midpoint") by numpy's arithmetic.
             s = np.sort(col)
             v = (s.size - 1) * (np.arange(1, bins) / bins)
             lo = np.floor(v).astype(np.intp)
             a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
             edges = np.where(v == lo, a + (b - a) * 0, b - (b - a) * 0.5)
-        elif strategy == "uniform-width":
-            edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
-        else:  # pragma: no cover - BinningSpec already screens strategies
-            raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
-    if bins > 128:  # past about 160 bins a binary search beats a pass per edge
-        codes = np.digitize(col, edges)
-    else:  # np.digitize's codes, for finite values and non-decreasing edges
-        codes = np.zeros(col.shape, np.uint8)
-        for edge in edges:
-            codes += col >= edge
+            if bins > 128:  # past about 160 bins a binary search beats a pass per edge
+                codes = np.digitize(col, edges)
+            else:  # np.digitize's codes, for finite values and non-decreasing edges
+                codes = np.zeros(col.shape, np.uint8)
+                for edge in edges:
+                    codes += col >= edge
     codes = _dense(codes)
     if codes.max() < 1:
         # Degenerate edges: the column is constant or collapses under ties.

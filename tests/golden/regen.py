@@ -71,8 +71,11 @@ def cases() -> list[list[str]]:
         ["compute", "fixture.csv", "--max-order", "1000000"],
         ["oracle", "fixture.csv", "-m", "100000000000"],
         ["estimate", "smoke_samples.csv", "--x", "x", "--y", "y1", "--max-order", "1000000"],
-        # A bin count past the row count: quantile bins stop at n, here 2.
+        # A bin count past the row count, here 2: quantile bins are categorical,
+        # and uniform-width counts edges it never builds.
         ["estimate", "fixture.csv", "--x", "0", "--y", "1", "--bins", "100000000000"],
+        ["estimate", "fixture.csv", "--x", "0", "--y", "1", "--strategy", "uniform-width",
+         "--bins", "100000000000"],
         # Errors: exit 2, then exit 3.
         ["gaussian", "block.csv", "--dim-x", "2", "--lambdas", "0", "1"],
         ["gaussian", "block.csv", "--dim-x", "3"],

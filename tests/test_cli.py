@@ -1009,9 +1009,17 @@ class TestArguments:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_huge_bin_count_prints_the_report_of_the_row_count(self, tmp_path, fmt):
-        # Two rows: quantile bins stop at 2, one atom per distinct value.
+        # Two rows: from 2 bins on, quantile bins are one atom per distinct value.
         path = write(tmp_path, "s.csv", FIXTURE_CSV)
         argv = ["estimate", path, "--x", "0", "--y", "1", "--format", fmt, "--bins"]
+        assert self.run_limited(*argv, "100000000000") == self.run_limited(*argv, "2")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_huge_uniform_width_bin_count_builds_no_edges(self, tmp_path, fmt):
+        # Two rows: every bin count parts them, as 2 bins do, and no edge is built.
+        path = write(tmp_path, "s.csv", FIXTURE_CSV)
+        argv = ["estimate", path, "--x", "0", "--y", "1", "--strategy", "uniform-width",
+                "--format", fmt, "--bins"]
         assert self.run_limited(*argv, "100000000000") == self.run_limited(*argv, "2")
 
     def test_a_negative_number_is_no_option_to_look_up(self, monkeypatch):

@@ -77,6 +77,49 @@ class TestBinColumn:
         with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
             bin_column(np.array(values, dtype=float), 2, strategy)
 
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width", "categorical"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_sample_is_rejected_at_any_bin_count(self, bad, strategy):
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, bad, 1.0])
+        for bins in (2, 100000000000):
+            with pytest.raises(InvalidDistributionError, match="non-finite"):
+                empirical_joint_grouped(x, [y], BinningSpec(strategy, bins, bins))
+            if strategy != "categorical":
+                with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
+                    bin_column(y, bins, strategy)
+                with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
+                    bin_column(np.array([]), bins, strategy)
+
+    @pytest.mark.parametrize("bins", [4, 5, 6, 7, 8, 100])
+    def test_adjacent_doubles_get_a_quantile_bin_each(self, bins):
+        # The midpoint of 1 and the next double rounds onto 1, so no midpoint
+        # edge could part them; from n bins on the partition is categorical.
+        col = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 5.0])
+        assert bin_column(col, bins, "quantile").tolist() == [0, 1, 2, 3]
+
+    # Columns for the uniform-width reference: general floats; a subnormal
+    # range; values far from zero a few ulps apart, where edges round onto the
+    # values and many bins share one double; and constant columns.
+    UNIFORM_COLUMNS = st.one_of(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+        st.lists(st.integers(0, 40).map(lambda k: k * 5e-324), min_size=1, max_size=30),
+        st.lists(st.integers(0, 40).map(lambda k: 1e10 + k * np.spacing(1e10)), min_size=1,
+                 max_size=30),
+        st.tuples(st.floats(-1e300, 1e300), st.integers(1, 5)).map(lambda c: [c[0]] * c[1]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=UNIFORM_COLUMNS, data=st.data(),
+           bins=st.one_of(st.sampled_from([2, 128, 129, 10**6]), st.integers(2, 10**6)))
+    def test_uniform_width_counts_the_linspace_edges(self, values, data, bins):
+        col = np.array(values)
+        edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
+        # Values on an edge and one double below it.
+        on = edges[data.draw(st.lists(st.integers(0, bins - 2), max_size=6), label="edges")]
+        col = np.concatenate([col, on, np.nextafter(on, -np.inf)])
+        want = _reference_bin_column(col, bins, "uniform-width")
+        assert np.array_equal(bin_column(col, bins, "uniform-width"), want)
+
     def test_codes_are_dense_and_every_bin_occupied(self):
         rng = np.random.default_rng(50)
         for strategy in ("quantile", "uniform-width"):
@@ -85,20 +128,18 @@ class TestBinColumn:
             assert codes.min() == 0
             assert np.all(np.bincount(codes) > 0)
 
-    # Extreme, tiny, subnormal and signed-zero values, and values rounded to
-    # hundredths, drawn with repeats: tied columns.  No two distinct values
-    # are adjacent floats above the subnormals, where a midpoint edge can
-    # round onto the lower value and leave the pair in one bin.
+    # Extreme, tiny, subnormal and signed-zero values, adjacent doubles, and
+    # values rounded to hundredths, drawn with repeats: tied columns.
     EXTREME_OR_TIED = st.one_of(
         st.sampled_from([-8e307, -1.5, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300,
-                         0.1, 1.0, 3.0, 8e307]),
+                         0.1, 1.0, np.nextafter(1.0, 2.0), 3.0, 8e307]),
         st.floats(-1e6, 1e6).map(lambda v: round(v, 2)),
     )
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(EXTREME_OR_TIED, min_size=1, max_size=30), data=st.data())
     def test_quantile_from_the_row_count_on_is_categorical(self, values, data):
-        # From n bins on an edge falls between every two distinct values.
+        # From n bins on, quantile binning is the categorical partition.
         col = np.array(values)
         bins = data.draw(st.integers(max(col.size, 2), col.size**2 + 3), label="bins")
         want = bin_column(col, 2, "categorical")
@@ -301,8 +342,10 @@ class TestLancasterSpectrum:
 
 
 def _reference_bin_column(values, bins, strategy):
-    """``bin_column`` as it was written before ``bincount``: sort, then unique."""
-    if strategy == "categorical" or values.dtype == object:
+    """``bin_column`` as it was written before ``bincount``: sort, then unique;
+    from n bins on, quantile binning is categorical."""
+    if strategy == "categorical" or values.dtype == object or (
+            strategy == "quantile" and bins >= values.size):
         return np.unique(values.astype(str) if values.dtype == object else values,
                          return_inverse=True)[1]
     col = values.astype(float)
