@@ -76,8 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     except DepscaleError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
-    except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError: --restarts too large; OverflowError: a --bins past 2**63 - 1.
+    except (ValueError, MemoryError) as exc:  # MemoryError: --restarts too large
         _emit_error("InvalidArgument", str(exc) or "an argument is too large to allocate for")
         return 2
     except OSError as exc:

@@ -55,7 +55,7 @@ class BinningSpec:
     """How to discretize the two columns of a sample table.
 
     ``bins_x`` / ``bins_y`` are requested bin counts for the non-categorical
-    strategies (at least 2 each); the categorical strategy ignores them.
+    strategies (2 to 2**63 - 1 each); the categorical strategy ignores them.
     """
 
     strategy: Strategy = "quantile"
@@ -69,9 +69,10 @@ class BinningSpec:
                 f"expected one of {_STRATEGIES}"
             )
         if self.strategy != "categorical":
-            if self.bins_x < 2 or self.bins_y < 2:
+            if not (2 <= self.bins_x < 2**63 and 2 <= self.bins_y < 2**63):
                 raise InvalidDistributionError(
-                    f"bin counts must be >= 2, got {self.bins_x} x {self.bins_y}"
+                    f"bin counts (--bins) must lie in [2, 2**63 - 1], got "
+                    f"{self.bins_x} x {self.bins_y}"
                 )
 
 

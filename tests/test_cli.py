@@ -1020,7 +1020,19 @@ class TestArguments:
         path = write(tmp_path, "s.csv", FIXTURE_CSV)
         argv = ["estimate", path, "--x", "0", "--y", "1", "--strategy", "uniform-width",
                 "--format", fmt, "--bins"]
-        assert self.run_limited(*argv, "100000000000") == self.run_limited(*argv, "2")
+        two = self.run_limited(*argv, "2")
+        assert self.run_limited(*argv, "100000000000") == two
+        assert self.run_limited(*argv, str(2**63 - 1)) == two
+
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width"])
+    def test_a_bin_count_past_the_int64_limit_is_rejected(self, capsys, tmp_path, strategy):
+        path = write(tmp_path, "s.csv", FIXTURE_CSV)
+        code, out, err = run_cli(capsys, "estimate", path, "--x", "0", "--y", "1",
+                                 "--strategy", strategy, "--bins", str(2**63))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "schema": "v1", "error": "InvalidDistribution",
+            "message": f"bin counts (--bins) must lie in [2, 2**63 - 1], got {2**63} x {2**63}"}
 
     def test_a_negative_number_is_no_option_to_look_up(self, monkeypatch):
         # Each parser reads a negative number as a value before it looks for

@@ -41,6 +41,13 @@ class TestBinningSpec:
         with pytest.raises(InvalidDistributionError):
             BinningSpec(bins_x=1)
 
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width"])
+    def test_bin_counts_stop_at_the_int64_limit(self, strategy):
+        # Uniform-width codes are int64 edge indices; quantile keeps the same bound.
+        with pytest.raises(InvalidDistributionError, match=r"\(--bins\) must lie in"):
+            BinningSpec(strategy, bins_y=2**63)
+        BinningSpec(strategy, 2**63 - 1, 2**63 - 1)  # must not raise
+
     def test_categorical_ignores_bin_counts(self):
         BinningSpec(strategy="categorical", bins_x=1, bins_y=1)  # must not raise
 
@@ -74,21 +81,16 @@ class TestBinColumn:
         ids=["nan", "inf", "-inf", "empty"],
     )
     def test_non_finite_or_empty_numeric_columns_are_rejected(self, values, strategy):
-        with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
-            bin_column(np.array(values, dtype=float), 2, strategy)
+        for bins in (2, 10**11):
+            with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
+                bin_column(np.array(values, dtype=float), bins, strategy)
 
     @pytest.mark.parametrize("strategy", ["quantile", "uniform-width", "categorical"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_sample_is_rejected_at_any_bin_count(self, bad, strategy):
+    def test_a_non_finite_sample_is_rejected_before_binning(self, bad, strategy):
         x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, bad, 1.0])
-        for bins in (2, 100000000000):
-            with pytest.raises(InvalidDistributionError, match="non-finite"):
-                empirical_joint_grouped(x, [y], BinningSpec(strategy, bins, bins))
-            if strategy != "categorical":
-                with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
-                    bin_column(y, bins, strategy)
-                with pytest.raises(InvalidDistributionError, match="non-empty and finite"):
-                    bin_column(np.array([]), bins, strategy)
+        with pytest.raises(InvalidDistributionError, match="non-finite"):
+            empirical_joint_grouped(x, [y], BinningSpec(strategy, 10**11, 10**11))
 
     @pytest.mark.parametrize("bins", [4, 5, 6, 7, 8, 100])
     def test_adjacent_doubles_get_a_quantile_bin_each(self, bins):

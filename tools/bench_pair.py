@@ -1,8 +1,7 @@
 """Paired benchmark runs of two trees, written as one BENCH file.
 
-    python3 tools/bench_pair.py --against REV --pairs N --out BENCH_<pr>.json
-        [--workload NAME ...] [--seconds 20] [--seed 1]
-        [--variant 'OLD LINE => NEW LINE' ...]
+    python3 tools/bench_pair.py --against REV --out BENCH_<pr>.json [--pairs 10]
+        [--workload NAME ...] [--variant 'OLD LINE => NEW LINE' ...]
 
 Run it from the repository root.  The base tree is ``REV`` exported with
 ``git archive``; the candidate is the working tree's tracked files as they
@@ -14,8 +13,9 @@ than one.  Both copies get ``python -m compileall -q src``, so that no timed
 start compiles the package.
 
 For each workload (all of ``BENCHMARK.json``'s by default) the driver runs
-each tree's own, unmodified ``perfbench/run.py --workload W --seed S
---seconds T --trace 0``, one tree after the other.  The tree that goes
+each tree's own, unmodified ``perfbench/run.py --workload W --seed 1
+--seconds 20 --trace 0``, one tree after the other: the run length of
+``BENCHMARK.json``, and the same inputs on both sides.  The tree that goes
 first alternates from pair to pair, so a drifting host loads both alike.
 Each run's last stdout line is its result; its ``env`` line, the
 interpreter's ``.pth`` files and ``/proc/loadavg`` before and after it are
@@ -48,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("base", "candidate")
+SECONDS, SEED = 20, 1
 
 
 def git(*args: str) -> bytes:
@@ -95,13 +96,13 @@ def loadavg() -> str | None:
         return None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its result line and env stamp."""
     before, start = loadavg(), time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=10 * seconds + 600)
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, timeout=10 * SECONDS + 600)
     record = {"elapsed_s": round(time.perf_counter() - start, 2),
               "loadavg_before": before, "loadavg_after": loadavg(),
               "exit_code": proc.returncode}
@@ -155,11 +156,9 @@ def compare(pairs: list[dict], name: str, better: str, bound: float) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the base revision")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--variant", action="append", default=[])
     args = parser.parse_args()
 
@@ -183,7 +182,7 @@ def main() -> int:
                 order = TREES if p % 2 == 0 else TREES[::-1]
                 pair = {"first": order[0]}
                 for t in order:
-                    pair[t] = run_once(trees[t], workload, args.seed, args.seconds)
+                    pair[t] = run_once(trees[t], workload)
                 pairs.append(pair)
                 print(workload, p, {t: pair[t].get("metrics", {}).get("wall_s") for t in TREES},
                       flush=True)
@@ -200,8 +199,7 @@ def main() -> int:
         "base": {"rev": git("rev-parse", args.against).decode().strip()},
         "candidate": {"head": head, "uncommitted_edits": dirty,
                       "variants": dict(zip(rewritten, args.variant))},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-                     "trace": 0},
+        "settings": {"pairs": args.pairs, "seconds": SECONDS, "seed": SEED, "trace": 0},
         "host": {"nproc": len(os.sched_getaffinity(0)),
                  "pth": sorted(p.name for d in site.getsitepackages() if os.path.isdir(d)
                                for p in Path(d).glob("*.pth"))},
