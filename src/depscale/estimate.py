@@ -31,6 +31,7 @@ refinements of the grid nest, so its R climbs monotonically toward |rho|.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -63,17 +64,31 @@ class BinningSpec:
     bins_y: int = 8
 
     def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
-            raise InvalidDistributionError(
-                f"unknown binning strategy {self.strategy!r}; "
-                f"expected one of {_STRATEGIES}"
-            )
-        if self.strategy != "categorical":
-            if not (2 <= self.bins_x < 2**63 and 2 <= self.bins_y < 2**63):
-                raise InvalidDistributionError(
-                    f"bin counts (--bins) must lie in [2, 2**63 - 1], got "
-                    f"{self.bins_x} x {self.bins_y}"
-                )
+        _check_binning(self.strategy, self.bins_x, self.bins_y)
+
+
+def _check_binning(strategy: str, *bins: int) -> list[int]:
+    """The bin counts as Python ints, once ``strategy`` is known and, for a
+    numeric strategy, each count is a Python or numpy integer in
+    [2, 2**63 - 1], the range of an int64 edge index; else
+    ``InvalidDistributionError``."""
+    if strategy not in _STRATEGIES:
+        raise InvalidDistributionError(
+            f"unknown binning strategy {strategy!r}; expected one of {_STRATEGIES}"
+        )
+    if strategy == "categorical":
+        return list(bins)
+    try:
+        counts = [operator.index(b) for b in bins]
+        valid = all(2 <= b < 2**63 for b in counts)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidDistributionError(
+            f"bin counts (--bins) must lie in [2, 2**63 - 1], got "
+            f"{' x '.join(map(str, bins))}"
+        )
+    return counts
 
 
 @dataclass(frozen=True)
@@ -101,46 +116,46 @@ def bin_column(values: np.ndarray, bins: int, strategy: Strategy) -> np.ndarray:
 
     Codes are dense in 0..k-1 with every atom occupied, so the alphabet size
     is ``codes.max() + 1``; empty bins are dropped and the occupied ones keep
-    their order.  Categorical codes, and quantile codes from ``bins >= n``
-    on, number the distinct values in sorted order.  A numeric column must
-    be non-empty and finite, or ``InvalidDistributionError`` is raised.
-    Numeric strategies fall back to categorical when the edges collapse, and
-    raise ``FloatingPointError`` when computing the edges overflows.
+    their order.  A column of any dtype but bool, integer or float holds
+    labels and is categorical.  Categorical codes, and quantile codes from
+    ``bins >= n`` on, number the distinct values in sorted order.  A numeric
+    column must be non-empty and finite, and ``strategy`` and ``bins`` must
+    pass :class:`BinningSpec`'s checks, or ``InvalidDistributionError`` is
+    raised.  Numeric strategies fall back to categorical when the edges
+    collapse, and raise ``FloatingPointError`` when computing the edges
+    overflows.
     """
-    if strategy == "categorical" or values.dtype == object:
-        return np.unique(values.astype(str) if values.dtype == object else values,
-                         return_inverse=True)[1]
+    (bins,) = _check_binning(strategy, bins)
+    if values.dtype.kind not in "biuf":
+        return np.unique(values.astype(str), return_inverse=True)[1]
     col = values.astype(float, copy=False)
     if col.size == 0 or not np.all(np.isfinite(col)):
         raise InvalidDistributionError("a numeric column to bin must be non-empty and finite")
-    if strategy == "quantile" and bins >= col.size:  # an edge falls in every gap
-        return bin_column(values, bins, "categorical")
+    if strategy == "categorical" or strategy == "quantile" and bins >= col.size:
+        return np.unique(values, return_inverse=True)[1]  # quantile: an edge in every gap
     with np.errstate(over="raise", invalid="raise"):
-        if strategy == "uniform-width":
-            # Count np.linspace's inner edges at or below each value: bisect, in its arithmetic.
-            lo, delta = col.min(), col.max() - col.min()
-            step, codes = delta / bins, np.zeros(col.shape, np.int64)
-            for bit in [1 << b for b in reversed(range((bins - 1).bit_length()))]:
-                i = np.minimum(codes | bit, bins - 1)
-                codes = np.where((i * step if step else i / bins * delta) + lo <= col, i, codes)
-        elif strategy != "quantile":  # pragma: no cover - BinningSpec already screens it
-            raise InvalidDistributionError(f"unknown binning strategy {strategy!r}")
-        else:  # np.quantile(col, k / bins, method="midpoint") by numpy's arithmetic.
+        if strategy == "quantile":  # edge i is np.quantile(col, i / bins, method="midpoint")
             s = np.sort(col)
-            v = (s.size - 1) * (np.arange(1, bins) / bins)
+            v = (s.size - 1) * (np.arange(bins) / bins)
             lo = np.floor(v).astype(np.intp)
-            a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
-            edges = np.where(v == lo, a + (b - a) * 0, b - (b - a) * 0.5)
-            if bins > 128:  # past about 160 bins a binary search beats a pass per edge
-                codes = np.digitize(col, edges)
-            else:  # np.digitize's codes, for finite values and non-decreasing edges
-                codes = np.zeros(col.shape, np.uint8)
-                for edge in edges:
-                    codes += col >= edge
+            a, b = s[lo], s[np.minimum(lo + (v > 0), s.size - 1)]  # b = a at edge 0, the min
+            edge = np.where(v == lo, a + (b - a) * 0, b - (b - a) * 0.5).__getitem__
+        else:  # edge i is np.linspace(min, max, bins + 1)[i], in its arithmetic
+            lo, delta = col.min(), col.max() - col.min()
+            step = delta / bins
+            edge = lambda i: (i * step if step else i / bins * delta) + lo
+        if bins <= 128:  # count the edges 1..bins-1 at or below each value, a pass per edge
+            codes = np.zeros(col.shape, np.uint8)
+            for e in edge(np.arange(1, bins)):
+                codes += col >= e
+        else:  # or bisect, the count in [codes, codes + 2p); every value passes edge 0, the min
+            codes = np.full(col.shape, bins - (1 << (bins - 1).bit_length()))
+            for p in [1 << k for k in reversed(range((bins - 1).bit_length()))]:
+                codes += (edge(np.maximum(codes + p, 0)) <= col) * p
     codes = _dense(codes)
     if codes.max() < 1:
         # Degenerate edges: the column is constant or collapses under ties.
-        return bin_column(values, bins, "categorical")
+        return np.unique(values, return_inverse=True)[1]
     return codes
 
 

@@ -51,6 +51,16 @@ class TestBinningSpec:
     def test_categorical_ignores_bin_counts(self):
         BinningSpec(strategy="categorical", bins_x=1, bins_y=1)  # must not raise
 
+    def test_numpy_integer_bin_counts_are_bin_counts(self):
+        x, y = np.arange(20.0), np.arange(20.0) ** 2
+        spec = BinningSpec("uniform-width", np.int64(4), np.uint16(4))
+        want = empirical_joint_grouped(x, [y], BinningSpec("uniform-width", 4, 4))
+        assert np.array_equal(empirical_joint_grouped(x, [y], spec).probs, want.probs)
+
+    def test_a_non_integer_bin_count_is_rejected(self):
+        with pytest.raises(InvalidDistributionError, match=r"\(--bins\) must lie in"):
+            BinningSpec("uniform-width", 4.0, 4)
+
 
 class TestBinColumn:
     def test_quantile_midpoint_edges(self):
@@ -74,7 +84,20 @@ class TestBinColumn:
         codes = bin_column(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]), 3, "quantile")
         assert codes.tolist() == [0, 0, 0, 0, 1, 1]
 
-    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width"])
+    @pytest.mark.parametrize(
+        "bins, strategy",
+        [(0, "uniform-width"), (2**64, "uniform-width"), (2.5, "quantile")],
+        ids=["zero", "2**64", "2.5"],
+    )
+    def test_a_bin_count_out_of_range_is_rejected(self, bins, strategy):
+        with pytest.raises(InvalidDistributionError, match=r"\(--bins\) must lie in"):
+            bin_column(np.array([0.0, 1.0, 2.0, 3.0]), bins, strategy)
+
+    def test_an_unknown_strategy_is_rejected_for_labels_too(self):
+        with pytest.raises(InvalidDistributionError, match="unknown binning strategy"):
+            bin_column(np.array(["a", "b"], dtype=object), 2, "kmeans")
+
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width", "categorical"])
     @pytest.mark.parametrize(
         "values",
         [[0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], [-np.inf, 0.0, 1.0], []],
@@ -112,7 +135,8 @@ class TestBinColumn:
 
     @settings(max_examples=200, deadline=None)
     @given(values=UNIFORM_COLUMNS, data=st.data(),
-           bins=st.one_of(st.sampled_from([2, 128, 129, 10**6]), st.integers(2, 10**6)))
+           bins=st.one_of(st.sampled_from([2, 127, 128, 129, 130, 10**6]),
+                       st.integers(2, 10**6)))
     def test_uniform_width_counts_the_linspace_edges(self, values, data, bins):
         col = np.array(values)
         edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
@@ -383,7 +407,7 @@ class TestCountingMatchesReference:
         BinningSpec("quantile", 4, 4),
         BinningSpec("uniform-width", 5, 6),
         BinningSpec("categorical"),
-        # Over 128 bins the codes come from np.digitize, not from comparisons.
+        # Over 128 bins the codes come from bisection, not from a pass per edge.
         pytest.param(BinningSpec("quantile", 200, 129), id="quantile-200"),
     ]
 
@@ -399,6 +423,28 @@ class TestCountingMatchesReference:
         for ys in ([ties, gappy], [gappy, const, x], [words, ties], [const, const]):
             j = empirical_joint_grouped(x, ys, spec)
             assert np.array_equal(j.probs, _reference_grouped(x, ys, spec))
+
+    @pytest.mark.parametrize("strategy", ["quantile", "uniform-width"])
+    @pytest.mark.parametrize("bins", [127, 128, 129, 130, 255, 256, 257, 1000])
+    def test_codes_either_side_of_the_bisection_switch(self, bins, strategy):
+        # A pass per edge up to 128 bins, bisection past it; seeded columns of
+        # 300 to 2,000 rows: ties, signed zeros, adjacent doubles, subnormals,
+        # extreme values and values rounded to hundredths.
+        extreme = [-8e307, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, 8e307]
+        for seed in range(3):
+            rng = np.random.default_rng([60, bins, seed])
+            n = int(rng.integers(300, 2001))
+            for col in (
+                rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n),
+                np.where(rng.random(n) < 0.5, -0.0, 0.0) + rng.integers(0, 3, n),
+                1.0 + rng.integers(0, 60, n) * np.spacing(1.0),
+                1e10 + rng.integers(0, 60, n) * np.spacing(1e10),
+                rng.integers(0, 60, n) * 5e-324,
+                rng.choice(extreme, n),
+                np.round(rng.standard_normal(n) * 100, 2),
+            ):
+                want = _reference_bin_column(col, bins, strategy)
+                assert np.array_equal(bin_column(col, bins, strategy), want), (seed, col[:5])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -19,15 +19,17 @@ each tree's own, unmodified ``perfbench/run.py --workload W --seed 1
 first alternates from pair to pair, so a drifting host loads both alike.
 Each run's last stdout line is its result; its ``env`` line, the
 interpreter's ``.pth`` files and ``/proc/loadavg`` before and after it are
-kept beside it.
+kept beside it.  A run that times out, exits nonzero or ends on no result
+line failed; it is kept with its error and loses its pair.
 
 For each end-to-end metric the BENCH file gives both trees' values, their
-median, quartiles and 90th percentile, how many pairs each tree won, and
-how much worse the candidate's median is than the base's, as a fraction,
-beside the metric's bound in ``BENCHMARK.json``.  The verdict is ``better``
-or ``worse`` when the candidate wins or loses at least nine pairs in ten
-and its median moves by more than the base's interquartile range;
-otherwise it is ``no difference``.
+median, quartiles and 90th percentile, how many runs of each tree failed,
+how many pairs each tree won (a tie, two failed runs among them, counts for
+neither), and how much worse the candidate's median is than the base's, as
+a fraction, beside the metric's bound in ``BENCHMARK.json``.  The verdict
+is ``better`` or ``worse`` when the candidate wins or loses at least nine
+in ten of all pairs run and its median moves by more than the base's
+interquartile range; otherwise it is ``no difference``.
 """
 
 from __future__ import annotations
@@ -97,12 +99,17 @@ def loadavg() -> str | None:
 
 
 def run_once(tree: Path, workload: str) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its result line and env stamp."""
+    """One ``perfbench/run.py`` run in ``tree``: its result line and env stamp.
+    A run that times out, exits nonzero or ends on no result line gets an
+    ``error`` and no metrics: it failed."""
     before, start = loadavg(), time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=10 * SECONDS + 600)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+             "--seconds", str(SECONDS), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, timeout=10 * SECONDS + 600)
+    except subprocess.TimeoutExpired as exc:
+        proc = subprocess.CompletedProcess(exc.cmd, None, "", f"timed out after {exc.timeout} s")
     record = {"elapsed_s": round(time.perf_counter() - start, 2),
               "loadavg_before": before, "loadavg_after": loadavg(),
               "exit_code": proc.returncode}
@@ -111,11 +118,14 @@ def run_once(tree: Path, workload: str) -> dict:
     record["env"] = json.loads(env[0]) if env else None
     try:
         result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        counts = {k: result[k] for k in ("correct", "attempted", "failed")}
+        metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    except (IndexError, KeyError, TypeError, AttributeError, ValueError):
+        result = None
+    if proc.returncode != 0 or result is None:
         record["error"] = (proc.stderr or proc.stdout)[-2000:]
         return record
-    record.update({k: result[k] for k in ("correct", "attempted", "failed")})
-    record["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    record.update(counts, metrics=metrics)
     return record
 
 
@@ -129,26 +139,36 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(pairs: list[dict], name: str, better: str, bound: float) -> dict:
-    """Both trees' values of one metric, pair by pair, and the verdict."""
-    both = [(p["base"]["metrics"][name], p["candidate"]["metrics"][name]) for p in pairs
-            if all(p[t].get("metrics", {}).get(name) is not None for t in TREES)]
+    """Both trees' values of one metric, pair by pair, and the verdict.  A run
+    without the metric failed: it loses its pair, and two failed runs tie."""
     sign = 1 if better == "higher" else -1
-    won = sum(sign * (c - b) > 0 for b, c in both)
-    lost = sum(sign * (c - b) < 0 for b, c in both)
-    out = {"base": summary([b for b, _ in both]), "candidate": summary([c for _, c in both]),
-           "pairs": len(both), "candidate_won": won, "base_won": lost}
-    verdict = "no difference"
-    if both:
+    values = {t: [p[t].get("metrics", {}).get(name) for p in pairs] for t in TREES}
+
+    def score(b: float | None, c: float | None) -> int:
+        """1 when the candidate wins the pair, -1 when it loses, 0 for a tie."""
+        if b is None or c is None:
+            return (b is None) - (c is None)
+        return (sign * (c - b) > 0) - (sign * (c - b) < 0)
+
+    scores = [score(b, c) for b, c in zip(values["base"], values["candidate"])]
+    won, lost = scores.count(1), scores.count(-1)
+    ok = {t: [v for v in values[t] if v is not None] for t in TREES}
+    out = {"base": summary(ok["base"]), "candidate": summary(ok["candidate"]),
+           "pairs": len(pairs), "failed": {t: len(pairs) - len(ok[t]) for t in TREES},
+           "candidate_won": won, "base_won": lost}
+    moved = True  # with no value on one side, only the pairs won decide
+    if ok["base"] and ok["candidate"]:
         base, cand = out["base"], out["candidate"]
         # The candidate's median against the base's, as a fraction of it,
         # positive when the candidate is worse; BENCHMARK.json bounds it.
         worse = -sign * (cand["median"] - base["median"]) / abs(base["median"] or 1)
         out.update(worse_by=worse, bound=bound, within_bound=worse <= bound)
         moved = abs(cand["median"] - base["median"]) > base["q3"] - base["q1"]
-        if moved and won >= 0.9 * len(both):
-            verdict = "better"
-        elif moved and lost >= 0.9 * len(both):
-            verdict = "worse"
+    verdict = "no difference"
+    if pairs and moved and won >= 0.9 * len(pairs):
+        verdict = "better"
+    elif pairs and moved and lost >= 0.9 * len(pairs):
+        verdict = "worse"
     out["verdict"] = verdict
     return out
 
