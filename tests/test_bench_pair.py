@@ -1,4 +1,4 @@
-"""The paired BENCH driver's verdict and line rewriting, without running a benchmark."""
+"""`tools/bench_pair.py`'s verdict, failed runs and line rewriting, without a benchmark run."""
 
 import importlib.util
 import subprocess
